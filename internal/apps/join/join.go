@@ -1,9 +1,9 @@
 // Package join implements the paper's third case study (Section IV-D): a
 // distributed hash join in two phases. The partition phase shuffles both
 // relations to their owner executors over the RDMA shuffle operator (SGL
-// batching, Section IV-C); the build-probe phase builds a concurrent hash
-// map (the TBB stand-in in internal/chash) from the inner relation's
-// partition and probes it with the outer relation's tuples.
+// batching, Section IV-C); the build-probe phase builds a hash table (the
+// stand-in for the paper's TBB concurrent_hash_map) from the inner
+// relation's partition and probes it with the outer relation's tuples.
 //
 // Execution time is virtual: the partition phase runs on the simulated
 // cluster, the build-probe phase is charged per tuple from the local-memory
@@ -12,10 +12,10 @@
 package join
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 
-	"rdmasem/internal/chash"
 	"rdmasem/internal/cluster"
 	"rdmasem/internal/core"
 	"rdmasem/internal/mem"
@@ -53,6 +53,10 @@ func DefaultConfig() Config {
 // tupleBytes is the wire size of one tuple (key + payload).
 const tupleBytes = 16
 
+// fibonacci is 2^64/φ: multiplying a key by it spreads the key's bits into
+// the product's high bits, which route tuples and index the build table.
+const fibonacci = 0x9E3779B97F4A7C15
+
 // Result reports one join execution.
 type Result struct {
 	Matches   int64        // number of matching (inner, outer) pairs
@@ -79,26 +83,86 @@ func Run(cl *cluster.Cluster, cfg Config, inner, outer []workload.Tuple) (Result
 // runSingle is the native single-machine baseline: one thread partitions,
 // builds and probes locally.
 func runSingle(cl *cluster.Cluster, cfg Config, inner, outer []workload.Tuple) Result {
-	tp := cl.Machine(0).Topology().Params
-	var elapsed sim.Duration
-	// Partitioning degenerates to a scan, but the hash map work stands.
-	elapsed += sim.Duration(len(inner)+len(outer)) * cfg.PartitionCost
-	m := chash.New(1)
-	var matches int64
+	table := newBuildTable(len(inner))
 	for _, t := range inner {
-		m.Insert(t.Key, t.Payload)
-		elapsed += cfg.BuildCost + tp.LocalAccessTime(topo.Write, topo.Rand, tupleBytes, false)
+		table.insert(t.Key)
 	}
+	var matches int64
 	for _, t := range outer {
-		matches += int64(m.Probe(t.Key))
-		elapsed += cfg.ProbeCost + tp.LocalAccessTime(topo.Read, topo.Rand, tupleBytes, false)
+		matches += table.probe(t.Key)
 	}
+	// Partitioning degenerates to a scan, but the hash table work stands.
+	elapsed := sim.Duration(len(inner)+len(outer))*cfg.PartitionCost +
+		buildProbeTime(cfg, cl.Machine(0).Topology().Params, len(inner), len(outer))
 	return Result{Matches: matches, Elapsed: elapsed, CPU: elapsed}
 }
 
+// buildProbeTime charges the build-probe phase: one hash table insert and a
+// random local write per inner tuple, one lookup and a random local read
+// per outer tuple.
+func buildProbeTime(cfg Config, tp topo.Params, inners, outers int) sim.Duration {
+	return sim.Duration(inners)*(cfg.BuildCost+tp.LocalAccessTime(topo.Write, topo.Rand, tupleBytes, false)) +
+		sim.Duration(outers)*(cfg.ProbeCost+tp.LocalAccessTime(topo.Read, topo.Rand, tupleBytes, false))
+}
+
+// buildTable is the build side of the join: a flat, open-addressed
+// key -> count table with linear probing. It is sized up front for the
+// number of inserts, so it never grows and stays at most half full. Each
+// executor's build-probe runs single-threaded, so it takes no locks.
+type buildTable struct {
+	slots []buildSlot
+	shift uint // 64 - log2(len(slots)): the index is the hash's top bits
+}
+
+type buildSlot struct {
+	key uint64
+	n   int64 // inner tuples under key; 0 marks an empty slot
+}
+
+// newBuildTable returns a table for up to n inserts.
+func newBuildTable(n int) buildTable {
+	size, shift := 8, uint(61)
+	for size < 2*n {
+		size <<= 1
+		shift--
+	}
+	return buildTable{slots: make([]buildSlot, size), shift: shift}
+}
+
+// find returns key's slot, or the empty slot where key would go.
+func (t buildTable) find(key uint64) *buildSlot {
+	mask := len(t.slots) - 1
+	for i := int(key * fibonacci >> t.shift); ; i = (i + 1) & mask {
+		if s := &t.slots[i]; s.n == 0 || s.key == key {
+			return s
+		}
+	}
+}
+
+func (t buildTable) insert(key uint64) {
+	s := t.find(key)
+	s.key = key
+	s.n++
+}
+
+// probe reports how many inserted tuples carry key.
+func (t buildTable) probe(key uint64) int64 { return t.find(key).n }
+
 // ownerOf routes a key to its owning executor.
 func ownerOf(key uint64, executors int) int {
-	return int((key * 0x9E3779B97F4A7C15 >> 21) % uint64(executors))
+	return int((key * fibonacci >> 21) % uint64(executors))
+}
+
+// share returns executor e's slice of a relation in the partition phase.
+func share(rel []workload.Tuple, e, executors int) []workload.Tuple {
+	return rel[e*len(rel)/executors : (e+1)*len(rel)/executors]
+}
+
+// route is one executor's send path to one remote destination.
+type route struct {
+	batcher *core.Batcher
+	proxy   sim.Duration // proxy-socket hop charged before each batch
+	cq      *verbs.CQ    // send CQ of the batcher's QP
 }
 
 // executorState is the per-executor partition-phase machinery.
@@ -110,15 +174,15 @@ type executorState struct {
 	engine  *core.Engine
 	peerIdx []int
 
-	outMR    *verbs.MR
-	outHead  int
-	staging  *verbs.MR
-	inMR     *verbs.MR // per-source slices
-	batchers []*core.Batcher
-	proxy    []sim.Duration
-	pend     [][]core.Fragment
-	offs     []int
-	recvCnt  []int // tuples received per source (tracked locally for parse)
+	outMR   *verbs.MR
+	outHead int
+	staging *verbs.MR
+	inMR    *verbs.MR // one receive ring of ringBytes per source
+	routes  []route
+	pend    [][]core.Fragment
+	offs    []int
+	recvCnt []int // tuples received per source (tracked locally for parse)
+	inners  int   // inner tuples routed here (sizes the build table)
 
 	cpu  sim.Duration
 	last sim.Time // completion of this executor's latest partition action
@@ -132,7 +196,7 @@ func runDistributed(cl *cluster.Cluster, cfg Config, inner, outer []workload.Tup
 	if cfg.Executors > cl.Size()*sockets {
 		return Result{}, fmt.Errorf("join: %d executors exceed cluster capacity %d", cfg.Executors, cl.Size()*sockets)
 	}
-	ringBytes := ringSizeFor(len(inner)+len(outer), cfg.Executors)
+	ringBytes := ringSizeFor(inner, outer, cfg.Executors)
 	ctxs := map[*cluster.Machine]*verbs.Context{}
 	ctxFor := func(m *cluster.Machine) *verbs.Context {
 		if ctxs[m] == nil {
@@ -206,8 +270,7 @@ func runDistributed(cl *cluster.Cluster, cfg Config, inner, outer []workload.Tup
 			}
 			ex.engine = eng
 		}
-		ex.batchers = make([]*core.Batcher, cfg.Executors)
-		ex.proxy = make([]sim.Duration, cfg.Executors)
+		ex.routes = make([]route, cfg.Executors)
 		for j, other := range execs {
 			if ex.peerIdx[j] < 0 {
 				continue
@@ -217,39 +280,39 @@ func runDistributed(cl *cluster.Cluster, cfg Config, inner, outer []workload.Tup
 			if err != nil {
 				return Result{}, err
 			}
-			ex.batchers[j] = b
-			ex.proxy[j] = extra
+			ex.routes[j] = route{batcher: b, proxy: extra, cq: qp.SendCQ()}
 		}
 	}
 
-	// Partition phase: each executor streams its slice of both relations.
-	// Executors run as closed-loop clients; each op partitions one tuple.
-	perExec := func(rel []workload.Tuple, e int) []workload.Tuple {
-		n := len(rel)
-		lo, hi := e*n/cfg.Executors, (e+1)*n/cfg.Executors
-		return rel[lo:hi]
-	}
+	// Partition phase: each executor streams its share of the inner relation,
+	// then of the outer one. Executors run as closed-loop clients; each op
+	// partitions one tuple.
 	var clients []*sim.Client
 	for _, ex := range execs {
-		ex := ex
-		stream := append(append([]workload.Tuple{}, perExec(inner, ex.id)...), perExec(outer, ex.id)...)
-		innerCount := len(perExec(inner, ex.id))
+		in, out := share(inner, ex.id, cfg.Executors), share(outer, ex.id, cfg.Executors)
+		if len(in)+len(out) == 0 {
+			continue // MaxOps 0 would mean "run until the horizon"
+		}
 		pos := 0
 		clients = append(clients, &sim.Client{
 			PostCost: 50,
 			Window:   4,
-			MaxOps:   int64(len(stream)),
+			MaxOps:   int64(len(in) + len(out)),
 			Op: func(post sim.Time) sim.Time {
+				i := pos
+				pos++
 				if ex.err != nil {
 					// A previous op failed (QP in error state): burn the
 					// remaining stream without touching the wire so the loop
 					// drains and the error surfaces below.
-					pos++
 					return post
 				}
-				t := stream[pos]
-				isInner := pos < innerCount
-				pos++
+				t, isInner := workload.Tuple{}, i < len(in)
+				if isInner {
+					t = in[i]
+				} else {
+					t = out[i-len(in)]
+				}
 				d, err := ex.partitionOne(post, cfg, ringBytes, execs, t, isInner)
 				if err != nil {
 					ex.err = err
@@ -271,7 +334,7 @@ func runDistributed(cl *cluster.Cluster, cfg Config, inner, outer []workload.Tup
 	// Drain pending batches.
 	var partitionEnd sim.Time
 	for _, ex := range execs {
-		d, err := ex.flushAll(ex.last, cfg, ringBytes, execs)
+		d, err := ex.flushAll(ex.last, ringBytes, execs)
 		if err != nil {
 			return Result{}, err
 		}
@@ -286,21 +349,17 @@ func runDistributed(cl *cluster.Cluster, cfg Config, inner, outer []workload.Tup
 	var wg sync.WaitGroup
 	times := make([]sim.Duration, len(execs))
 	matches := make([]int64, len(execs))
-	errs := make([]error, len(execs))
 	for i, ex := range execs {
 		wg.Add(1)
-		go func(i int, ex *executorState) {
+		go func() {
 			defer wg.Done()
-			times[i], matches[i], errs[i] = ex.buildProbe(cfg, tp, ringBytes, len(execs))
-		}(i, ex)
+			times[i], matches[i] = ex.buildProbe(cfg, tp, ringBytes)
+		}()
 	}
 	wg.Wait()
 	var total Result
 	var worst sim.Duration
 	for i := range execs {
-		if errs[i] != nil {
-			return Result{}, errs[i]
-		}
 		total.Matches += matches[i]
 		if times[i] > worst {
 			worst = times[i]
@@ -312,11 +371,22 @@ func runDistributed(cl *cluster.Cluster, cfg Config, inner, outer []workload.Tup
 	return total, nil
 }
 
-// ringSizeFor sizes the per-(src,dst) ring to hold a whole partition.
-func ringSizeFor(tuples, executors int) int {
-	per := (tuples/executors + executors) * tupleBytes * 2
-	// Round to pages.
-	return (per + 4095) &^ 4095
+// ringSizeFor sizes every per-(src,dst) receive ring to the largest flow
+// any source sends any destination, rounded up to whole pages. Every ring
+// then starts on a page boundary at src*ringBytes, whatever the flows.
+func ringSizeFor(inner, outer []workload.Tuple, executors int) int {
+	flow := make([]int, executors*executors)
+	most := 0
+	for src := 0; src < executors; src++ {
+		for _, rel := range [2][]workload.Tuple{inner, outer} {
+			for _, t := range share(rel, src, executors) {
+				f := &flow[src*executors+ownerOf(t.Key, executors)]
+				*f++
+				most = max(most, *f)
+			}
+		}
+	}
+	return max(mem.PageSize, (most*tupleBytes+mem.PageSize-1)&^(mem.PageSize-1))
 }
 
 // partitionOne routes one tuple: serialize into the arrival ring, batch per
@@ -330,12 +400,13 @@ func (ex *executorState) partitionOne(now sim.Time, cfg Config, ringBytes int, e
 		ex.outHead = 0
 	}
 	buf := ex.outMR.Region().Bytes()[ex.outHead : ex.outHead+tupleBytes]
-	putU64(buf, t.Key)
+	binary.LittleEndian.PutUint64(buf, t.Key)
 	tag := t.Payload &^ 1
 	if isInner {
 		tag |= 1
+		execs[dst].inners++
 	}
-	putU64(buf[8:], tag)
+	binary.LittleEndian.PutUint64(buf[8:], tag)
 	frag := core.Fragment{Addr: ex.outMR.Addr() + mem.Addr(ex.outHead), Length: tupleBytes}
 	ex.outHead += tupleBytes
 
@@ -350,10 +421,10 @@ func (ex *executorState) partitionOne(now sim.Time, cfg Config, ringBytes int, e
 	if len(ex.pend[dst]) < cfg.Batch {
 		return now, nil
 	}
-	return ex.flushDst(now, cfg, ringBytes, execs, dst)
+	return ex.flushDst(now, ringBytes, execs, dst)
 }
 
-func (ex *executorState) flushDst(now sim.Time, cfg Config, ringBytes int, execs []*executorState, dst int) (sim.Time, error) {
+func (ex *executorState) flushDst(now sim.Time, ringBytes int, execs []*executorState, dst int) (sim.Time, error) {
 	frags := ex.pend[dst]
 	ex.pend[dst] = ex.pend[dst][:0]
 	bytes := len(frags) * tupleBytes
@@ -364,22 +435,30 @@ func (ex *executorState) flushDst(now sim.Time, cfg Config, ringBytes int, execs
 	}
 	remote := dex.inMR.Addr() + mem.Addr(base+ex.offs[dst])
 	ex.offs[dst] += bytes
-	res, err := ex.batchers[dst].WriteBatch(now+ex.proxy[dst], frags, remote)
+	r := &ex.routes[dst]
+	res, err := r.batcher.WriteBatch(now+r.proxy, frags, remote)
 	if err != nil {
 		return 0, err
+	}
+	// Nothing waits on the send CQEs, so reap them here rather than let the
+	// queue grow for the whole run; virtual time does not see the poll.
+	for {
+		if _, ok := r.cq.PollOne(res.Done); !ok {
+			break
+		}
 	}
 	ex.cpu += res.CPU
 	dex.recvCnt[ex.id] += len(frags)
 	return res.Done, nil
 }
 
-func (ex *executorState) flushAll(now sim.Time, cfg Config, ringBytes int, execs []*executorState) (sim.Time, error) {
+func (ex *executorState) flushAll(now sim.Time, ringBytes int, execs []*executorState) (sim.Time, error) {
 	done := now
 	for dst := range ex.pend {
 		if len(ex.pend[dst]) == 0 {
 			continue
 		}
-		d, err := ex.flushDst(now, cfg, ringBytes, execs, dst)
+		d, err := ex.flushDst(now, ringBytes, execs, dst)
 		if err != nil {
 			return 0, err
 		}
@@ -400,44 +479,28 @@ func (ex *executorState) deliverLocal(src *executorState, entry []byte, ringByte
 	return 80
 }
 
-// buildProbe builds the hash map from received inner tuples and probes with
-// the outer ones, returning the phase's virtual duration and match count.
-func (ex *executorState) buildProbe(cfg Config, tp topo.Params, ringBytes, executors int) (sim.Duration, int64, error) {
-	m := chash.New(16)
-	var elapsed sim.Duration
+// buildProbe builds the table from the inner tuples in the executor's
+// receive rings, then probes it with the outer ones on a second scan,
+// returning the phase's virtual duration and match count.
+func (ex *executorState) buildProbe(cfg Config, tp topo.Params, ringBytes int) (sim.Duration, int64) {
+	table := newBuildTable(ex.inners)
+	rings := ex.inMR.Region().Bytes()
 	var matches int64
-	var outers []workload.Tuple
-	for src := 0; src < executors; src++ {
-		base := src * ringBytes
-		for i := 0; i < ex.recvCnt[src]; i++ {
-			b := ex.inMR.Region().Bytes()[base+i*tupleBytes : base+(i+1)*tupleBytes]
-			key := getU64(b)
-			tag := getU64(b[8:])
-			if tag&1 == 1 {
-				m.Insert(key, tag)
-				elapsed += cfg.BuildCost + tp.LocalAccessTime(topo.Write, topo.Rand, tupleBytes, false)
-			} else {
-				outers = append(outers, workload.Tuple{Key: key, Payload: tag})
+	outers := 0
+	for _, build := range [2]bool{true, false} {
+		for src, n := range ex.recvCnt {
+			ring := rings[src*ringBytes : src*ringBytes+n*tupleBytes]
+			for off := 0; off < len(ring); off += tupleBytes {
+				key, isInner := binary.LittleEndian.Uint64(ring[off:]), ring[off+8]&1 == 1
+				switch {
+				case build && isInner:
+					table.insert(key)
+				case !build && !isInner:
+					matches += table.probe(key)
+					outers++
+				}
 			}
 		}
 	}
-	for _, t := range outers {
-		matches += int64(m.Probe(t.Key))
-		elapsed += cfg.ProbeCost + tp.LocalAccessTime(topo.Read, topo.Rand, tupleBytes, false)
-	}
-	return elapsed, matches, nil
-}
-
-func putU64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-}
-
-func getU64(b []byte) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	return v
+	return buildProbeTime(cfg, tp, ex.inners, outers), matches
 }

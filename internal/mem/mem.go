@@ -72,14 +72,22 @@ func (r *Region) Contains(addr Addr, size int) bool {
 
 // Slice returns the size bytes starting at addr, which must lie within the
 // region. For sparse regions the returned bytes alias the wrapped physical
-// backing.
+// backing, so an access longer than the backing fails.
 func (r *Region) Slice(addr Addr, size int) ([]byte, error) {
 	if !r.Contains(addr, size) {
 		return nil, fmt.Errorf("mem: [%#x,+%d) outside region [%#x,+%d)", addr, size, r.addr, r.Size())
 	}
 	off := int(addr - r.addr)
-	if r.virtual > 0 && len(r.buf) > size {
-		off %= len(r.buf) - size
+	if r.virtual > 0 {
+		switch {
+		case size > len(r.buf):
+			return nil, fmt.Errorf("mem: [%#x,+%d) exceeds the %d-byte backing of sparse region [%#x,+%d)",
+				addr, size, len(r.buf), r.addr, r.virtual)
+		case size < len(r.buf):
+			off %= len(r.buf) - size
+		default:
+			off = 0
+		}
 	}
 	return r.buf[off : off+size], nil
 }
@@ -179,7 +187,7 @@ func (s *Space) Resolve(addr Addr, size int) (*Region, error) {
 	}
 	r := s.regions[i-1]
 	if !r.Contains(addr, size) {
-		return nil, fmt.Errorf("mem: access [%#x,+%d) escapes region [%#x,+%d)", addr, size, r.addr, len(r.buf))
+		return nil, fmt.Errorf("mem: access [%#x,+%d) escapes region [%#x,+%d)", addr, size, r.addr, r.Size())
 	}
 	return r, nil
 }

@@ -2,7 +2,9 @@ package mem
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -307,5 +309,50 @@ func TestDenseRegionNotSparse(t *testing.T) {
 	r, _ := s.Alloc(0, 4096, 0)
 	if r.Sparse() {
 		t.Fatal("dense region misreported as sparse")
+	}
+}
+
+// A sparse access longer than the physical backing has nothing to alias: it
+// must fail with an error, never slice past the backing.
+func TestSparseSliceLongerThanBacking(t *testing.T) {
+	s, _ := NewSpace(1, 1<<30)
+	r, err := s.AllocSparse(0, 64<<20, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := r.Addr() + 8<<20
+	if _, err := r.Slice(addr, 2<<20); err == nil || !strings.Contains(err.Error(), "backing") {
+		t.Fatalf("Slice longer than the backing: err = %v, want a backing error", err)
+	}
+	if err := s.WriteAt(addr, make([]byte, 2<<20)); err == nil {
+		t.Fatal("WriteAt longer than the backing must fail")
+	}
+	if err := s.ReadAt(addr, make([]byte, 1<<20+1)); err == nil {
+		t.Fatal("ReadAt longer than the backing must fail")
+	}
+	// Exactly the backing's length aliases the whole backing at any offset.
+	b, err := r.Slice(addr, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b) != 1<<20 || &b[0] != &r.Bytes()[0] {
+		t.Fatal("a backing-sized slice must alias the whole backing")
+	}
+}
+
+// Resolve's escape error reports the region's span, which for a sparse
+// region is its virtual size, not its backing.
+func TestResolveErrorReportsVirtualSize(t *testing.T) {
+	s, _ := NewSpace(1, 1<<30)
+	r, err := s.AllocSparse(0, 64<<20, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = s.Resolve(r.End()-8, 16)
+	if err == nil {
+		t.Fatal("access past the virtual end must fail")
+	}
+	if want := fmt.Sprintf("+%d)", 64<<20); !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not report the virtual size %s", err, want)
 	}
 }

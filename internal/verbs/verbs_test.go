@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -760,5 +761,40 @@ func TestUCWriteCompletesLocally(t *testing.T) {
 	}
 	if string(e.mrB.Region().Bytes()[:8]) != "uc write" {
 		t.Fatal("UC write data did not land")
+	}
+}
+
+// A WRITE whose SGE is longer than a sparse region's physical backing fails
+// with an error from PostSend instead of crashing the process, and leaves
+// the QP usable.
+func TestWriteFromSparseSGELongerThanBackingFails(t *testing.T) {
+	e := newPair(t)
+	sparse, err := e.cl.Machine(0).Space().AllocSparse(1, 64<<20, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mr := e.ctxA.MustRegisterMR(sparse)
+	big := e.ctxB.MustRegisterMR(e.cl.Machine(1).MustAlloc(1, 2<<20, 0))
+	_, err = e.qpA.PostSend(0, &SendWR{
+		Opcode:     OpWrite,
+		SGL:        []SGE{{Addr: mr.Addr() + 8<<20, Length: 2 << 20, MR: mr}},
+		RemoteAddr: big.Addr(),
+		RemoteKey:  big.RKey(),
+	})
+	if err == nil || !strings.Contains(err.Error(), "backing") {
+		t.Fatalf("WRITE from an SGE longer than the sparse backing: err = %v, want a backing error", err)
+	}
+	msg := []byte("still usable")
+	copy(e.mrA.Region().Bytes(), msg)
+	if _, err := e.qpA.PostSend(0, &SendWR{
+		Opcode:     OpWrite,
+		SGL:        []SGE{{Addr: e.mrA.Addr(), Length: len(msg), MR: e.mrA}},
+		RemoteAddr: e.mrB.Addr(),
+		RemoteKey:  e.mrB.RKey(),
+	}); err != nil {
+		t.Fatalf("QP unusable after the failed WRITE: %v", err)
+	}
+	if got := e.mrB.Region().Bytes()[:len(msg)]; !bytes.Equal(got, msg) {
+		t.Fatalf("remote memory = %q, want %q", got, msg)
 	}
 }
