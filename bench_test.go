@@ -22,7 +22,7 @@ const benchScale = 0.05
 func run(b *testing.B, id string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		report, err := bench.Run(id, benchScale)
+		report, err := bench.Run(id, benchScale, bench.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -69,13 +69,11 @@ import (
 	"io"
 	"math"
 	"os"
-	"strings"
 	"time"
 
 	"rdmasem/internal/bench"
 	"rdmasem/internal/fabric"
 	"rdmasem/internal/telemetry"
-	"rdmasem/internal/verbs"
 )
 
 func main() {
@@ -122,69 +120,37 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "rdmabench: -engine-workers must be >= 1, got %d\n", *engineWorkers)
 		return 2
 	}
-
-	if *connModes != "" {
-		if err := bench.SetConnModes(strings.Split(*connModes, ",")); err != nil {
-			fmt.Fprintf(stderr, "rdmabench: %v\n", err)
-			return 2
-		}
+	if *qpPool < 0 {
+		fmt.Fprintf(stderr, "rdmabench: QP pool must be at least 1, got %d\n", *qpPool)
+		return 2
 	}
-	if *qpPool != 0 {
-		if err := bench.SetQPPool(*qpPool); err != nil {
-			fmt.Fprintf(stderr, "rdmabench: %v\n", err)
-			return 2
-		}
-	}
-	if *faultFlap != "" {
-		if err := bench.SetFaultFlap(*faultFlap); err != nil {
-			fmt.Fprintf(stderr, "rdmabench: %v\n", err)
-			return 2
-		}
-	}
-	if *recoveryModes != "" {
-		if err := bench.SetRecoveryModes(strings.Split(*recoveryModes, ",")); err != nil {
-			fmt.Fprintf(stderr, "rdmabench: %v\n", err)
-			return 2
-		}
-	}
-	if *adaptive != "" {
-		if err := bench.SetAdaptiveParams(*adaptive); err != nil {
-			fmt.Fprintf(stderr, "rdmabench: %v\n", err)
-			return 2
-		}
-	}
-	if *txnConflicts != "" {
-		if err := bench.SetTxnConflicts(*txnConflicts); err != nil {
-			fmt.Fprintf(stderr, "rdmabench: %v\n", err)
-			return 2
-		}
-	}
-
-	bench.SetParallelism(*parallel)
-	bench.SetEngineWorkers(*engineWorkers)
-
+	opts := bench.Options{Parallel: *parallel, EngineWorkers: *engineWorkers, QPPool: *qpPool}
+	var errs [6]error
+	opts.ConnModes, errs[0] = bench.ParseConnModes(*connModes)
+	opts.FaultFlaps, errs[1] = bench.ParseFaultFlap(*faultFlap)
+	opts.RecoveryModes, errs[2] = bench.ParseRecoveryModes(*recoveryModes)
+	opts.Adaptive, errs[3] = bench.ParseAdaptive(*adaptive)
+	opts.TxnConflicts, errs[4] = bench.ParseTxnConflicts(*txnConflicts)
 	lossy := *faults != ""
 	if lossy {
-		plan, err := fabric.ParseFaultPlan(*faults)
+		opts.Faults, errs[5] = fabric.ParseFaultPlan(*faults)
+	}
+	for _, err := range errs {
 		if err != nil {
 			fmt.Fprintf(stderr, "rdmabench: %v\n", err)
 			return 2
 		}
-		bench.SetFaultPlan(plan)
 	}
-
-	var tl *telemetry.Timeline
 	if *timeline != "" {
-		tl = telemetry.NewTimeline(0)
-		bench.SetTimeline(tl)
+		opts.Timeline = telemetry.NewTimeline(0)
 		// Timeline process groups are allocated in cluster-construction
 		// order, so pin the sweep pool to keep traces reproducible.
-		bench.SetParallelism(1)
+		opts.Parallel = 1
 	}
-	if *metrics || tl != nil {
+	if *metrics || opts.Timeline != nil {
 		// The registry also feeds the timeline path's summary: folding NIC
 		// counters is cheap and keeps one code path.
-		bench.SetMetrics(telemetry.NewRegistry())
+		opts.Metrics = telemetry.NewRegistry()
 	}
 
 	if *list || *exp == "" {
@@ -204,29 +170,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	for _, id := range ids {
 		start := time.Now()
-		report, err := bench.Run(id, *scale)
+		report, err := bench.Run(id, *scale, opts)
 		if err != nil {
 			fmt.Fprintf(stderr, "rdmabench: %v\n", err)
 			return 1
 		}
 		report.RenderFormat(stdout, *format)
 		if lossy {
-			ft := fabric.TakeTelemetry()
-			rt := verbs.TakeRelTelemetry()
+			ft, rt := report.Faults, report.Reliability
 			fmt.Fprintf(stdout, "faults: segments=%d drops=%d corrupts=%d delays=%d flap_drops=%d crash_drops=%d\n",
 				ft.Segments, ft.Drops, ft.Corrupts, ft.Delays, ft.FlapDrops, ft.CrashDrops)
 			fmt.Fprintf(stdout, "reliability: segments=%d retransmits=%d timeouts=%d naks=%d rnr_naks=%d retries_exhausted=%d silent_drops=%d reconnects=%d\n",
 				rt.Segments, rt.Retransmits, rt.AckTimeouts, rt.NaksReceived, rt.RNRNaks, rt.RetriesExhausted, rt.SilentDrops, rt.Reconnects)
 		}
 		if *metrics {
-			bench.TakeMetrics().Render(stdout)
-		} else if tl != nil {
-			bench.TakeMetrics() // drain between experiments so labels stay per-experiment
+			report.Metrics.Render(stdout)
 		}
 		fmt.Fprintf(stdout, "(%s completed in %v)\n\n", id, time.Since(start).Round(time.Millisecond))
 	}
 
-	if tl != nil {
+	if tl := opts.Timeline; tl != nil {
 		f, err := os.Create(*timeline)
 		if err != nil {
 			fmt.Fprintf(stderr, "rdmabench: %v\n", err)

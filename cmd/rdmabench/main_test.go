@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"rdmasem/internal/bench"
 )
 
 // TestFlagValidation covers the bad-flag paths: every invalid combination
@@ -90,19 +88,7 @@ func TestUnknownExperimentExitsOne(t *testing.T) {
 // 4 workers (host-timing progress lines stripped).
 func TestEngineWorkersOutputIdentity(t *testing.T) {
 	render := func(workers string) string {
-		var stdout, stderr bytes.Buffer
-		code := run([]string{"-exp", "engine", "-scale", "0.02", "-engine-workers", workers}, &stdout, &stderr)
-		if code != 0 {
-			t.Fatalf("exit code = %d, stderr: %s", code, stderr.String())
-		}
-		var lines []string
-		for _, l := range strings.Split(stdout.String(), "\n") {
-			if strings.Contains(l, "completed in") { // wall-clock, legitimately varies
-				continue
-			}
-			lines = append(lines, l)
-		}
-		return strings.Join(lines, "\n")
+		return runStripped(t, "-exp", "engine", "-scale", "0.02", "-engine-workers", workers)
 	}
 	serial, parallel := render("1"), render("4")
 	if serial != parallel {
@@ -113,18 +99,76 @@ func TestEngineWorkersOutputIdentity(t *testing.T) {
 	}
 }
 
+// runStripped runs the CLI in-process, fails the test on a nonzero exit, and
+// returns stdout without the wall-clock "completed in" lines.
+func runStripped(t *testing.T, args ...string) string {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("%v: exit code = %d, stderr: %s", args, code, stderr.String())
+	}
+	var lines []string
+	for _, l := range strings.Split(stdout.String(), "\n") {
+		if strings.Contains(l, "completed in") { // wall-clock, legitimately varies
+			continue
+		}
+		lines = append(lines, l)
+	}
+	return strings.Join(lines, "\n")
+}
+
+// TestRunsShareNoState runs a lossless, a lossy and again the lossless
+// command in one process: the third output must equal the first, so no
+// option of one run survives into the next.
+func TestRunsShareNoState(t *testing.T) {
+	args := []string{"-exp", "fig1", "-scale", "0.02"}
+	first := runStripped(t, args...)
+	runStripped(t, append(args, "-faults", "seed=1,drop=0.05")...)
+	if third := runStripped(t, args...); third != first {
+		t.Fatalf("a lossy run leaked into the next lossless one:\nfirst:\n%s\nthird:\n%s", first, third)
+	}
+}
+
+// TestFaultSummaryLines pins the faults:/reliability: lines at two sweep
+// widths, including the txn and availability sweeps, whose fault arms are
+// their own scenario rather than the -faults plan.
+func TestFaultSummaryLines(t *testing.T) {
+	cases := []struct {
+		args        []string
+		faults, rel string
+	}{
+		{
+			[]string{"-exp", "fig1"},
+			"faults: segments=22723 drops=981 corrupts=0 delays=0 flap_drops=0 crash_drops=0",
+			"reliability: segments=11616 retransmits=1004 timeouts=968 naks=12 rnr_naks=0 retries_exhausted=0 silent_drops=0 reconnects=0",
+		},
+		{
+			[]string{"-exp", "txn", "-txn-conflicts", "0,100"},
+			"faults: segments=1459 drops=5 corrupts=0 delays=0 flap_drops=0 crash_drops=0",
+			"reliability: segments=731 retransmits=5 timeouts=5 naks=0 rnr_naks=0 retries_exhausted=0 silent_drops=0 reconnects=0",
+		},
+		{
+			[]string{"-exp", "availability"},
+			"faults: segments=8345 drops=0 corrupts=0 delays=0 flap_drops=567 crash_drops=82",
+			"reliability: segments=4450 retransmits=428 timeouts=649 naks=0 rnr_naks=0 retries_exhausted=221 silent_drops=0 reconnects=196",
+		},
+	}
+	for _, tc := range cases {
+		for _, parallel := range []string{"1", "4"} {
+			args := append([]string{"-scale", "0.02", "-faults", "seed=1,drop=0.05", "-parallel", parallel}, tc.args...)
+			out := runStripped(t, args...)
+			for _, want := range []string{tc.faults, tc.rel} {
+				if !strings.Contains(out, "\n"+want+"\n") {
+					t.Errorf("%v: missing %q in:\n%s", args, want, out)
+				}
+			}
+		}
+	}
+}
+
 // TestConnModesSmoke runs qpsweep restricted to the shared-QP modes with a
-// narrow pool: the report must carry only the requested lines, and the
-// package knobs must not leak into later tests.
+// narrow pool: the report must carry only the requested lines.
 func TestConnModesSmoke(t *testing.T) {
-	t.Cleanup(func() {
-		if err := bench.SetConnModes(nil); err != nil {
-			t.Fatal(err)
-		}
-		if err := bench.SetQPPool(64); err != nil {
-			t.Fatal(err)
-		}
-	})
 	var stdout, stderr bytes.Buffer
 	code := run([]string{"-exp", "qpsweep", "-scale", "0.02", "-conn-modes", "pool,proxy", "-qp-pool", "8"}, &stdout, &stderr)
 	if code != 0 {
@@ -143,16 +187,8 @@ func TestConnModesSmoke(t *testing.T) {
 
 // TestAvailabilityKnobsSmoke runs the availability chaos sweep restricted to
 // one recovery mode and one flap point: the report must carry only the
-// requested line, and the knobs must reset for later tests.
+// requested line.
 func TestAvailabilityKnobsSmoke(t *testing.T) {
-	t.Cleanup(func() {
-		if err := bench.SetRecoveryModes(nil); err != nil {
-			t.Fatal(err)
-		}
-		if err := bench.SetFaultFlap(""); err != nil {
-			t.Fatal(err)
-		}
-	})
 	var stdout, stderr bytes.Buffer
 	code := run([]string{"-exp", "availability", "-scale", "0.02",
 		"-recovery-modes", "reconnect+remap", "-fault-flap", "6000/25000"}, &stdout, &stderr)
@@ -171,13 +207,8 @@ func TestAvailabilityKnobsSmoke(t *testing.T) {
 }
 
 // TestAdaptiveKnobSmoke runs the adaptive experiment end to end with an
-// explicit controller spec and checks the knob restores cleanly.
+// explicit controller spec.
 func TestAdaptiveKnobSmoke(t *testing.T) {
-	t.Cleanup(func() {
-		if err := bench.SetAdaptiveParams(""); err != nil {
-			t.Fatal(err)
-		}
-	})
 	var stdout, stderr bytes.Buffer
 	code := run([]string{"-exp", "adaptive", "-scale", "0.02",
 		"-adaptive", "epoch=20000,confirm=2,dwell=2,depth=16"}, &stdout, &stderr)
@@ -193,13 +224,8 @@ func TestAdaptiveKnobSmoke(t *testing.T) {
 }
 
 // TestTxnKnobSmoke runs the transactional-KV conflict sweep end to end with
-// a restricted conflict schedule and checks the knob restores cleanly.
+// a restricted conflict schedule.
 func TestTxnKnobSmoke(t *testing.T) {
-	t.Cleanup(func() {
-		if err := bench.SetTxnConflicts(""); err != nil {
-			t.Fatal(err)
-		}
-	})
 	var stdout, stderr bytes.Buffer
 	code := run([]string{"-exp", "txn", "-scale", "0.02",
 		"-txn-conflicts", "0,100"}, &stdout, &stderr)

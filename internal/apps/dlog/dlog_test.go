@@ -2,7 +2,6 @@ package dlog
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
 	"rdmasem/internal/cluster"
@@ -232,101 +231,6 @@ func TestLogFull(t *testing.T) {
 	}
 	if _, err := l.Record(99); err == nil {
 		t.Fatal("out-of-range record read must fail")
-	}
-}
-
-func TestReaderReplaysIntactAndInOrder(t *testing.T) {
-	cl := newCluster(t, 3)
-	cfg := DefaultConfig()
-	cfg.Batch = 8
-	l, err := NewLog(cl.Machine(0), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := NewEngine(0, cl.Machine(1), 1, l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	now := sim.Time(0)
-	for i := 0; i < 10; i++ {
-		_, d, err := e.AppendBatch(now)
-		if err != nil {
-			t.Fatal(err)
-		}
-		now = d
-	}
-	rd, err := NewReader(cl.Machine(2), 1, l, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var seqs []uint64
-	done, err := rd.Replay(now, 0, mustHead(t, l), func(seq uint64, rec []byte) error {
-		if !workload.CheckValue(rec, seq) {
-			t.Fatalf("record %d corrupt during replay", seq)
-		}
-		seqs = append(seqs, seq)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if done <= now {
-		t.Fatal("replay must take time")
-	}
-	if len(seqs) != 80 {
-		t.Fatalf("replayed %d records, want 80", len(seqs))
-	}
-	for i, s := range seqs {
-		if s != uint64(i) {
-			t.Fatalf("replay out of order at %d: %d", i, s)
-		}
-	}
-	// Bad range and callback error propagate.
-	if _, err := rd.Replay(done, 5, 2, nil); err == nil {
-		t.Fatal("inverted range must fail")
-	}
-	sentinel := fmt.Errorf("stop")
-	if _, err := rd.Replay(done, 0, 8, func(uint64, []byte) error { return sentinel }); err != sentinel {
-		t.Fatalf("callback error not propagated: %v", err)
-	}
-}
-
-func TestReaderBatchingFewerReadsIsFaster(t *testing.T) {
-	cl := newCluster(t, 3)
-	cfg := DefaultConfig()
-	cfg.Batch = 16
-	l, err := NewLog(cl.Machine(0), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := NewEngine(0, cl.Machine(1), 1, l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	now := sim.Time(0)
-	for i := 0; i < 8; i++ {
-		_, d, err := e.AppendBatch(now)
-		if err != nil {
-			t.Fatal(err)
-		}
-		now = d
-	}
-	scan := func(perRead int) sim.Duration {
-		rd, err := NewReader(cl.Machine(2), 1, l, perRead)
-		if err != nil {
-			t.Fatal(err)
-		}
-		base := now + sim.Millisecond
-		done, err := rd.Replay(base, 0, mustHead(t, l), func(uint64, []byte) error { return nil })
-		if err != nil {
-			t.Fatal(err)
-		}
-		return done - base
-	}
-	one := scan(1)
-	sixteen := scan(16)
-	if sixteen >= one/4 {
-		t.Fatalf("batched replay (%v) should be far faster than record-at-a-time (%v)", sixteen, one)
 	}
 }
 

@@ -18,35 +18,27 @@ func newDetRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 // topoSock converts an int to a socket id.
 func topoSock(s int) topo.SocketID { return topo.SocketID(s) }
 
-func init() {
-	register("mrscale", MRScale)
-	register("qpscale", QPScale)
-	register("ablation-xlate", AblationTranslationCache)
-	register("ablation-mmio", AblationMMIOCost)
-	register("ablation-qpi", AblationQPILatency)
-}
-
 // MRScale reproduces Section II-B2's MR observation: with 10x the memory
 // regions the 32 B access latency degrades on the order of 60% because the
 // MR records no longer fit the metadata SRAM.
-func MRScale(scale float64) (*Report, error) {
+func (r *run) MRScale(scale float64) (*Report, error) {
 	_ = scale
 	tb := stats.NewTable("MR scalability: 32B write latency vs registered MR count")
 	tb.Row("MRs", "latency (us)", "vs 16 MRs")
 	nMRs := []int{16, 64, 160, 512}
-	lats, err := points(len(nMRs), func(pi int) (float64, error) {
+	lats, err := points(r, len(nMRs), func(pi int) (float64, error) {
 		nMR := nMRs[pi]
-		env, err := newPair(1 << 22)
+		env, err := r.newPair(1 << 22)
 		if err != nil {
 			return 0, err
 		}
 		mrs := make([]*verbs.MR, nMR)
 		for i := range mrs {
-			r, err := env.cl.Machine(1).Alloc(1, 4096, 0)
+			reg, err := env.cl.Machine(1).Alloc(1, 4096, 0)
 			if err != nil {
 				return 0, err
 			}
-			mrs[i] = env.ctxB.MustRegisterMR(r)
+			mrs[i] = env.ctxB.MustRegisterMR(reg)
 		}
 		// Round-robin over all MRs so the MR cache keeps churning, then
 		// measure the average latency.
@@ -89,17 +81,17 @@ func MRScale(scale float64) (*Report, error) {
 // QPScale reproduces Section II-B2's connection observation (after Chen et
 // al.): throughput degrades roughly 50% when the client count grows ~3x past
 // the QP-context cache.
-func QPScale(scale float64) (*Report, error) {
+func (r *run) QPScale(scale float64) (*Report, error) {
 	fig := stats.NewFigure("QP scalability: aggregate 32B write throughput vs client count", "clients", "throughput (MOPS)")
 	h := horizon(scale, 5*sim.Millisecond)
 	counts := []int{40, 80, 120, 160, 240}
-	ms, err := points(len(counts), func(i int) (float64, error) {
+	ms, err := points(r, len(counts), func(i int) (float64, error) {
 		clients := counts[i]
-		env, err := newPair(1 << 22)
+		env, err := r.newPair(1 << 22)
 		if err != nil {
 			return 0, err
 		}
-		eng, ma, mb := env.engine()
+		eng, ma, mb := r.pairEngine(env)
 		for c := 0; c < clients; c++ {
 			qp, _ := verbs.MustConnect(env.ctxA, 1, env.ctxB, 1, verbs.RC)
 			wr := &verbs.SendWR{
@@ -138,15 +130,15 @@ func QPScale(scale float64) (*Report, error) {
 // AblationTranslationCache sweeps the SRAM translation-cache capacity and
 // shows the random-access throughput tracking it (the design knob behind
 // Figures 6a/b/d).
-func AblationTranslationCache(scale float64) (*Report, error) {
+func (r *run) AblationTranslationCache(scale float64) (*Report, error) {
 	fig := stats.NewFigure("Ablation: translation cache entries vs 32B random write throughput (64MB region)", "entries", "throughput (MOPS)")
 	h := horizon(scale, 5*sim.Millisecond)
 	entriesList := []int{0, 256, 1024, 4096, 16384}
-	ms, err := points(len(entriesList), func(i int) (float64, error) {
+	ms, err := points(r, len(entriesList), func(i int) (float64, error) {
 		cfg := cluster.DefaultConfig()
 		cfg.Machines = 2
 		cfg.NIC.TranslationEntries = entriesList[i]
-		return customPairThroughput(cfg, 64<<20, h)
+		return r.customPairThroughput(cfg, 64<<20, h)
 	})
 	if err != nil {
 		return nil, err
@@ -163,15 +155,15 @@ func AblationTranslationCache(scale float64) (*Report, error) {
 
 // AblationMMIOCost sweeps the doorbell MMIO cost, the constant whose
 // amortization is Doorbell batching's whole value proposition.
-func AblationMMIOCost(scale float64) (*Report, error) {
+func (r *run) AblationMMIOCost(scale float64) (*Report, error) {
 	fig := stats.NewFigure("Ablation: MMIO cost vs small-write latency", "mmio(ns)", "latency (us)")
 	_ = scale
 	mmios := []int{100, 250, 500, 1000}
-	lats, err := points(len(mmios), func(i int) (float64, error) {
+	lats, err := points(r, len(mmios), func(i int) (float64, error) {
 		cfg := cluster.DefaultConfig()
 		cfg.Machines = 2
 		cfg.NIC.MMIOCost = sim.Duration(mmios[i])
-		return customPairLatency(cfg)
+		return r.customPairLatency(cfg)
 	})
 	if err != nil {
 		return nil, err
@@ -187,19 +179,19 @@ func AblationMMIOCost(scale float64) (*Report, error) {
 
 // AblationQPILatency sweeps the inter-socket hop cost and reports the
 // worst-vs-best placement latency gap of Table III.
-func AblationQPILatency(scale float64) (*Report, error) {
+func (r *run) AblationQPILatency(scale float64) (*Report, error) {
 	fig := stats.NewFigure("Ablation: QPI hop latency vs placement penalty", "qpi(ns)", "worst/best latency ratio")
 	_ = scale
 	qpis := []int{35, 70, 140, 280}
-	ratios, err := points(len(qpis), func(i int) (float64, error) {
+	ratios, err := points(r, len(qpis), func(i int) (float64, error) {
 		cfg := cluster.DefaultConfig()
 		cfg.Machines = 2
 		cfg.Topo.QPILatency = sim.Duration(qpis[i])
-		best, err := customPlacementLatency(cfg, false)
+		best, err := r.customPlacementLatency(cfg, false)
 		if err != nil {
 			return 0, err
 		}
-		worst, err := customPlacementLatency(cfg, true)
+		worst, err := r.customPlacementLatency(cfg, true)
 		if err != nil {
 			return 0, err
 		}
@@ -220,8 +212,8 @@ func AblationQPILatency(scale float64) (*Report, error) {
 
 // customPairThroughput builds a pair on a custom cluster config and measures
 // random 32B write throughput over the given remote region.
-func customPairThroughput(cfg cluster.Config, region int, h sim.Duration) (float64, error) {
-	cl, err := newCluster(cfg)
+func (r *run) customPairThroughput(cfg cluster.Config, region int, h sim.Duration) (float64, error) {
+	cl, err := r.newCluster(cfg, r.opts.Faults)
 	if err != nil {
 		return 0, err
 	}
@@ -262,8 +254,8 @@ func customPairThroughput(cfg cluster.Config, region int, h sim.Duration) (float
 }
 
 // customPairLatency measures the warm 32B write latency on a custom config.
-func customPairLatency(cfg cluster.Config) (float64, error) {
-	cl, err := newCluster(cfg)
+func (r *run) customPairLatency(cfg cluster.Config) (float64, error) {
+	cl, err := r.newCluster(cfg, r.opts.Faults)
 	if err != nil {
 		return 0, err
 	}
@@ -295,8 +287,8 @@ func customPairLatency(cfg cluster.Config) (float64, error) {
 }
 
 // customPlacementLatency measures best- or worst-placement write latency.
-func customPlacementLatency(cfg cluster.Config, worst bool) (float64, error) {
-	cl, err := newCluster(cfg)
+func (r *run) customPlacementLatency(cfg cluster.Config, worst bool) (float64, error) {
+	cl, err := r.newCluster(cfg, r.opts.Faults)
 	if err != nil {
 		return 0, err
 	}

@@ -13,33 +13,25 @@ import (
 	"rdmasem/internal/stats"
 )
 
-func init() { register("adaptive", AdaptiveRuntime) }
-
-// adaptiveOverride, when set, replaces the experiment's scale-derived
-// controller parameters (the -adaptive CLI knob).
-var adaptiveOverride *cluster.AdaptiveParams
-
-// SetAdaptiveParams parses a comma-separated key=value controller spec
-// (epoch in ns, confirm, dwell, depth) and applies it to all subsequent
-// adaptive experiment runs; an empty spec restores the scale-derived
-// defaults.
-func SetAdaptiveParams(spec string) error {
+// ParseAdaptive parses a comma-separated key=value controller spec (epoch
+// in ns, confirm, dwell, depth); an empty spec selects the scale-derived
+// defaults (nil).
+func ParseAdaptive(spec string) (*cluster.AdaptiveParams, error) {
 	if spec == "" {
-		adaptiveOverride = nil
-		return nil
+		return nil, nil
 	}
 	var p cluster.AdaptiveParams
 	for _, part := range strings.Split(spec, ",") {
 		k, v, ok := strings.Cut(part, "=")
 		if !ok {
-			return fmt.Errorf("bench: adaptive spec %q is not key=value", part)
+			return nil, fmt.Errorf("bench: adaptive spec %q is not key=value", part)
 		}
 		n, err := strconv.ParseInt(v, 10, 64)
 		if err != nil {
-			return fmt.Errorf("bench: adaptive %s=%q: %v", k, v, err)
+			return nil, fmt.Errorf("bench: adaptive %s=%q: %v", k, v, err)
 		}
 		if n <= 0 {
-			return fmt.Errorf("bench: adaptive %s must be positive, got %d", k, n)
+			return nil, fmt.Errorf("bench: adaptive %s must be positive, got %d", k, n)
 		}
 		switch k {
 		case "epoch":
@@ -51,20 +43,19 @@ func SetAdaptiveParams(spec string) error {
 		case "depth":
 			p.MaxDepth = int(n)
 		default:
-			return fmt.Errorf("bench: unknown adaptive key %q (want epoch, confirm, dwell, depth)", k)
+			return nil, fmt.Errorf("bench: unknown adaptive key %q (want epoch, confirm, dwell, depth)", k)
 		}
 	}
-	adaptiveOverride = &p
-	return nil
+	return &p, nil
 }
 
 // adaptiveParams resolves the controller configuration for one cell: the
 // CLI override if present, otherwise an epoch of h/96 so the probe burn-in
 // stays a fixed fraction of the horizon at every scale.
-func adaptiveParams(h sim.Duration, shadow bool) cluster.AdaptiveParams {
+func (r *run) adaptiveParams(h sim.Duration, shadow bool) cluster.AdaptiveParams {
 	p := cluster.AdaptiveParams{}
-	if adaptiveOverride != nil {
-		p = *adaptiveOverride
+	if r.opts.Adaptive != nil {
+		p = *r.opts.Adaptive
 	}
 	if p.Epoch <= 0 {
 		p.Epoch = h / 96
@@ -102,7 +93,7 @@ var adaptiveWorkloads = []string{"smallbatch", "largeseq", "hotwrite", "phases"}
 // (ROADMAP item 4). Statics run the identical Runtime in shadow mode — the
 // controller measures but never touches a knob — so this experiment also
 // pins the hook's passivity.
-func AdaptiveRuntime(scale float64) (*Report, error) {
+func (r *run) AdaptiveRuntime(scale float64) (*Report, error) {
 	h := horizon(scale, 10*sim.Millisecond)
 	// The controller needs enough epochs to amortize its probe burn-in;
 	// below ~2ms the phase-change win drowns in probe overhead at every
@@ -124,9 +115,9 @@ func AdaptiveRuntime(scale float64) (*Report, error) {
 		final     adaptive.Record
 	}
 	n := len(adaptiveWorkloads) * len(configs)
-	cells, err := points(n, func(i int) (cellOut, error) {
+	cells, err := points(r, n, func(i int) (cellOut, error) {
 		w, cfg := i/len(configs), configs[i%len(configs)]
-		env, err := newPair(1 << 22)
+		env, err := r.newPair(1 << 22)
 		if err != nil {
 			return cellOut{}, err
 		}
@@ -134,7 +125,7 @@ func AdaptiveRuntime(scale float64) (*Report, error) {
 			QP: env.qpA, LocalMR: env.mrA, Staging: env.staging,
 			RemoteMR: env.mrB, RemoteBase: env.mrB.Addr(),
 			BlockSize: 1024, Theta: 16, MaxBlocks: 8,
-			Params:   adaptiveParams(h, !cfg.live),
+			Params:   r.adaptiveParams(h, !cfg.live),
 			Strategy: cfg.strategy, UseCons: cfg.useCons,
 		})
 		if err != nil {

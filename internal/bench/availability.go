@@ -14,108 +14,57 @@ import (
 	"rdmasem/internal/verbs"
 )
 
-func init() {
-	register("availability", Availability)
-}
-
 // The recovery modes the availability experiment compares. Order is the
 // plotting order.
 var availModes = []string{"none", "reconnect", "reconnect+remap"}
 
-// recoveryModes is the active subset (set via -recovery-modes); nil = all.
-var recoveryModes []string
-
-// flapPoint is one link-flap intensity: the fabric takes every link down for
-// `down` out of every `period` nanoseconds (per-link phase offsets come from
+// FlapPoint is one link-flap intensity: the fabric takes every link down
+// for Down out of every Period nanoseconds (per-link phase offsets come from
 // the plan seed).
-type flapPoint struct {
-	down, period sim.Duration
+type FlapPoint struct {
+	Down, Period sim.Duration
 }
 
 // defaultFlaps sweeps 8%, 24% and 48% link downtime on a 25us flap period.
-func defaultFlaps() []flapPoint {
-	return []flapPoint{
-		{down: 2 * sim.Microsecond, period: 25 * sim.Microsecond},
-		{down: 6 * sim.Microsecond, period: 25 * sim.Microsecond},
-		{down: 12 * sim.Microsecond, period: 25 * sim.Microsecond},
-	}
+var defaultFlaps = []FlapPoint{
+	{Down: 2 * sim.Microsecond, Period: 25 * sim.Microsecond},
+	{Down: 6 * sim.Microsecond, Period: 25 * sim.Microsecond},
+	{Down: 12 * sim.Microsecond, Period: 25 * sim.Microsecond},
 }
 
-// availFlaps is the swept flap intensities, mildest first (set via
-// -fault-flap).
-var availFlaps = defaultFlaps()
-
-// SetRecoveryModes restricts the availability experiment to the named
-// recovery modes (nil or empty restores all three). Call before Run, never
-// during one.
-func SetRecoveryModes(modes []string) error {
-	if len(modes) == 0 {
-		recoveryModes = nil
-		return nil
-	}
-	for _, m := range modes {
-		ok := false
-		for _, known := range availModes {
-			if m == known {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return fmt.Errorf("bench: unknown recovery mode %q (have %v)", m, availModes)
-		}
-	}
-	recoveryModes = modes
-	return nil
+// ParseRecoveryModes parses a comma-separated subset of the availability
+// recovery modes; an empty spec selects all three.
+func ParseRecoveryModes(spec string) ([]string, error) {
+	return parseModes(spec, availModes, "recovery")
 }
 
-// SetFaultFlap replaces the availability experiment's flap sweep with the
-// given spec: comma-separated down/period pairs in nanoseconds, mildest
-// first, e.g. "2000/25000,12000/25000". An empty spec restores the default
-// sweep. Call before Run, never during one.
-func SetFaultFlap(spec string) error {
+// ParseFaultFlap parses an availability flap sweep: comma-separated
+// down/period pairs in nanoseconds, mildest first, e.g.
+// "2000/25000,12000/25000". An empty spec selects the default sweep (nil).
+func ParseFaultFlap(spec string) ([]FlapPoint, error) {
 	if spec == "" {
-		availFlaps = defaultFlaps()
-		return nil
+		return nil, nil
 	}
-	var pts []flapPoint
+	var pts []FlapPoint
 	for _, part := range strings.Split(spec, ",") {
 		ds, ps, ok := strings.Cut(part, "/")
 		if !ok {
-			return fmt.Errorf("bench: flap point %q is not down/period", part)
+			return nil, fmt.Errorf("bench: flap point %q is not down/period", part)
 		}
 		d, err := strconv.ParseInt(ds, 10, 64)
 		if err != nil {
-			return fmt.Errorf("bench: flap down %q: %v", ds, err)
+			return nil, fmt.Errorf("bench: flap down %q: %v", ds, err)
 		}
 		p, err := strconv.ParseInt(ps, 10, 64)
 		if err != nil {
-			return fmt.Errorf("bench: flap period %q: %v", ps, err)
+			return nil, fmt.Errorf("bench: flap period %q: %v", ps, err)
 		}
 		if d <= 0 || p <= d {
-			return fmt.Errorf("bench: flap point %q needs 0 < down < period", part)
+			return nil, fmt.Errorf("bench: flap point %q needs 0 < down < period", part)
 		}
-		pts = append(pts, flapPoint{down: sim.Duration(d), period: sim.Duration(p)})
+		pts = append(pts, FlapPoint{Down: sim.Duration(d), Period: sim.Duration(p)})
 	}
-	availFlaps = pts
-	return nil
-}
-
-// activeRecoveryModes returns the modes to sweep in plotting order.
-func activeRecoveryModes() []string {
-	if recoveryModes == nil {
-		return availModes
-	}
-	out := make([]string, 0, len(availModes))
-	for _, m := range availModes {
-		for _, want := range recoveryModes {
-			if m == want {
-				out = append(out, m)
-				break
-			}
-		}
-	}
-	return out
+	return pts, nil
 }
 
 // availPoint is one (mode, fault scenario) measurement.
@@ -153,28 +102,31 @@ func recoveryPolicyFor(mode string) *proxy.RecoveryPolicy {
 // runs. A second scenario crashes the server node outright (and the proxy
 // daemon with it): the standby daemon takes over after the detection
 // timeout and the table re-establishes its pool when the node restarts.
-func Availability(scale float64) (*Report, error) {
-	modes := activeRecoveryModes()
+func (r *run) Availability(scale float64) (*Report, error) {
+	modes := selectModes(availModes, r.opts.RecoveryModes)
 	if len(modes) == 0 {
 		return nil, fmt.Errorf("bench: no recovery modes selected")
 	}
-	flaps := availFlaps
+	flaps := r.opts.FaultFlaps
+	if len(flaps) == 0 {
+		flaps = defaultFlaps
+	}
 	h := horizon(scale, 2*sim.Millisecond)
-	pts, err := points(len(modes)*len(flaps), func(i int) (availPoint, error) {
-		return flapAvailabilityPoint(modes[i/len(flaps)], flaps[i%len(flaps)], h)
+	pts, err := points(r, len(modes)*len(flaps), func(i int) (availPoint, error) {
+		return r.flapAvailabilityPoint(modes[i/len(flaps)], flaps[i%len(flaps)], h)
 	})
 	if err != nil {
 		return nil, err
 	}
-	crash, err := points(len(modes), func(i int) (availPoint, error) {
-		return crashAvailabilityPoint(modes[i], h)
+	crash, err := points(r, len(modes), func(i int) (availPoint, error) {
+		return r.crashAvailabilityPoint(modes[i], h)
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	dutyPct := func(f flapPoint) float64 {
-		return 100 * float64(f.down) / float64(f.period)
+	dutyPct := func(f FlapPoint) float64 {
+		return 100 * float64(f.Down) / float64(f.Period)
 	}
 	fig := stats.NewFigure("Goodput under link flapping: 64B WRITEs through a pooled table vs link downtime", "link downtime (%)", "goodput (MOPS)")
 	ttrFig := stats.NewFigure("p99 time-to-recovery of failed WRs vs link downtime", "link downtime (%)", "p99 TTR (us)")
@@ -249,18 +201,12 @@ const (
 // newAvailEnv builds the chaos cluster. The fault plan is the scenario's
 // own (the bench-wide -faults plan does not compose with a chaos scenario);
 // telemetry and timeline sinks attach as for every other driver.
-func newAvailEnv(plan *fabric.FaultPlan, policy *proxy.RecoveryPolicy) (*availEnv, error) {
+func (r *run) newAvailEnv(plan *fabric.FaultPlan, policy *proxy.RecoveryPolicy) (*availEnv, error) {
 	cfg := cluster.DefaultConfig()
 	cfg.Machines = 2
-	cfg.Faults = plan
-	cfg.Telemetry = metricsReg
-	cfg.Timeline = timelineRec
-	cl, err := cluster.New(cfg)
+	cl, err := r.newCluster(cfg, plan)
 	if err != nil {
 		return nil, err
-	}
-	if metricsReg != nil {
-		trackCluster(cl)
 	}
 	ctxA, ctxB := verbs.NewContext(cl.Machine(0)), verbs.NewContext(cl.Machine(1))
 	pool := make([]*verbs.QP, availPool)
@@ -288,7 +234,7 @@ func newAvailEnv(plan *fabric.FaultPlan, policy *proxy.RecoveryPolicy) (*availEn
 		table: table,
 		ok:    make([]uint64, availConns),
 		fail:  make([]uint64, availConns),
-		eng:   cl.NewEngine(EngineWorkers()),
+		eng:   cl.NewEngine(r.opts.EngineWorkers),
 	}
 
 	ra, err := cl.Machine(0).Alloc(1, 1<<20, 0)
@@ -362,9 +308,9 @@ func (env *availEnv) finish(h sim.Duration) availPoint {
 }
 
 // flapAvailabilityPoint measures one (mode, flap intensity) point.
-func flapAvailabilityPoint(mode string, f flapPoint, h sim.Duration) (availPoint, error) {
-	plan := &fabric.FaultPlan{Seed: 7, FlapDown: f.down, FlapPeriod: f.period}
-	env, err := newAvailEnv(plan, recoveryPolicyFor(mode))
+func (r *run) flapAvailabilityPoint(mode string, f FlapPoint, h sim.Duration) (availPoint, error) {
+	plan := &fabric.FaultPlan{Seed: 7, FlapDown: f.Down, FlapPeriod: f.Period}
+	env, err := r.newAvailEnv(plan, recoveryPolicyFor(mode))
 	if err != nil {
 		return availPoint{}, err
 	}
@@ -375,12 +321,12 @@ func flapAvailabilityPoint(mode string, f flapPoint, h sim.Duration) (availPoint
 // server machine is down for the middle quarter of the run, the primary
 // daemon dies with it, and (in the recovery modes) a standby daemon takes
 // over while the table re-establishes its pool after the restart.
-func crashAvailabilityPoint(mode string, h sim.Duration) (availPoint, error) {
+func (r *run) crashAvailabilityPoint(mode string, h sim.Duration) (availPoint, error) {
 	crashAt := sim.Time(h / 2)
 	plan := &fabric.FaultPlan{Seed: 7, Crashes: []fabric.CrashEvent{
 		{Machine: 1, At: crashAt, Down: h / 4},
 	}}
-	env, err := newAvailEnv(plan, recoveryPolicyFor(mode))
+	env, err := r.newAvailEnv(plan, recoveryPolicyFor(mode))
 	if err != nil {
 		return availPoint{}, err
 	}

@@ -14,13 +14,19 @@ package bench
 import (
 	"fmt"
 	"io"
+	"runtime"
+	"slices"
 	"sort"
+	"strings"
+	"sync"
 
 	"rdmasem/internal/cluster"
 	"rdmasem/internal/fabric"
 	"rdmasem/internal/mem"
+	"rdmasem/internal/rnic"
 	"rdmasem/internal/sim"
 	"rdmasem/internal/stats"
+	"rdmasem/internal/telemetry"
 	"rdmasem/internal/verbs"
 )
 
@@ -30,6 +36,15 @@ type Report struct {
 	Figures []*stats.Figure
 	Tables  []*stats.Table
 	Notes   []string
+
+	// Faults and Reliability sum the fault-model and reliability-layer
+	// tallies of every cluster the run built (zero unless the run had a
+	// fault plan or metrics registry attached).
+	Faults      fabric.FaultStats
+	Reliability rnic.RelCounters
+	// Metrics is the run's drained telemetry snapshot (empty unless the run
+	// had a metrics registry attached).
+	Metrics telemetry.Snapshot
 }
 
 // Render prints all figures and tables of the report as aligned text.
@@ -65,62 +80,158 @@ func (r *Report) RenderFormat(w io.Writer, format string) {
 	}
 }
 
-// faultPlan, when set, is attached to every cluster the drivers build.
-var faultPlan *fabric.FaultPlan
+// Options configures one Run. The zero value is the serial, lossless,
+// telemetry-free run the goldens pin; every field only selects what the
+// command-line flags of the same name select.
+type Options struct {
+	Parallel      int                     // sweep-point workers (< 1 = GOMAXPROCS)
+	EngineWorkers int                     // sharded-kernel workers per engine (< 1 = 1)
+	Faults        *fabric.FaultPlan       // lossy-fabric plan for every cluster (nil = lossless)
+	Metrics       *telemetry.Registry     // metrics sink for every cluster, folded into Report.Metrics
+	Timeline      *telemetry.Timeline     // span recorder for every cluster
+	ConnModes     []string                // qpsweep serving modes (nil = all)
+	QPPool        int                     // qpsweep pool/proxy physical QPs (< 1 = 64)
+	FaultFlaps    []FlapPoint             // availability flap sweep (empty = default)
+	RecoveryModes []string                // availability recovery modes (nil = all)
+	Adaptive      *cluster.AdaptiveParams // adaptive controller override (nil = scale-derived)
+	TxnConflicts  []int                   // txn conflict shares in percent (empty = default)
+}
 
-// SetFaultPlan attaches a seeded lossy-fabric model to all subsequently
-// built experiment clusters (nil restores the lossless default). Call it
-// before Run, never during one: drivers read it concurrently from sweep
-// workers.
-func SetFaultPlan(p *fabric.FaultPlan) { faultPlan = p }
+// run is one experiment execution: its options plus the clusters it built,
+// recorded only when something needs their counters afterwards.
+type run struct {
+	opts     Options
+	record   bool
+	mu       sync.Mutex
+	clusters []*cluster.Cluster
+}
 
-// newCluster builds an experiment cluster with the bench-wide fault plan and
-// telemetry sinks attached. All drivers construct their clusters through this
-// helper so a single SetFaultPlan/SetMetrics/SetTimeline covers every figure
-// and table.
-func newCluster(cfg cluster.Config) (*cluster.Cluster, error) {
-	cfg.Faults = faultPlan
-	cfg.Telemetry = metricsReg
-	cfg.Timeline = timelineRec
+// newCluster builds one experiment cluster with the run's telemetry sinks
+// attached. Drivers pass the run's fault plan, except the chaos and txn
+// sweeps, whose fault arms are their own scenario.
+func (r *run) newCluster(cfg cluster.Config, faults *fabric.FaultPlan) (*cluster.Cluster, error) {
+	cfg.Faults = faults
+	cfg.Telemetry = r.opts.Metrics
+	cfg.Timeline = r.opts.Timeline
 	cl, err := cluster.New(cfg)
-	if err == nil && metricsReg != nil {
-		trackCluster(cl)
+	if err == nil && r.record {
+		r.mu.Lock()
+		r.clusters = append(r.clusters, cl)
+		r.mu.Unlock()
 	}
 	return cl, err
 }
 
-// Driver runs one experiment at the given scale.
-type Driver func(scale float64) (*Report, error)
-
-var registry = map[string]Driver{}
-
-// register adds a driver under its experiment id.
-func register(id string, d Driver) {
-	registry[id] = d
+// experiments maps every experiment id to its driver.
+var experiments = map[string]func(*run, float64) (*Report, error){
+	"fig1":           (*run).Fig01PacketThrottling,
+	"fig3":           (*run).Fig03BatchStrategies,
+	"fig4":           (*run).Fig04BatchSizes,
+	"fig5":           (*run).Fig05ThreadScaling,
+	"fig6":           (*run).Fig06RandSeq,
+	"fig6c":          (*run).Fig06cLocalDRAM,
+	"fig6d":          (*run).Fig06dRegisteredSize,
+	"fig8":           (*run).Fig08Consolidation,
+	"fig10a":         (*run).Fig10aSpinlock,
+	"fig10b":         (*run).Fig10bSequencer,
+	"fig12":          (*run).Fig12HashtableBreakdown,
+	"fig13":          (*run).Fig13HashtableConsolidation,
+	"fig15":          (*run).Fig15Shuffle,
+	"fig16":          (*run).Fig16JoinBatching,
+	"fig17":          (*run).Fig17JoinScale,
+	"fig18":          (*run).Fig18CPUCost,
+	"fig19":          (*run).Fig19DistributedLog,
+	"table1":         (*run).Table01StrategyComparison,
+	"table2":         (*run).Table02LocalSockets,
+	"table3":         (*run).Table03RemoteSockets,
+	"breakdown":      (*run).Breakdown,
+	"mrscale":        (*run).MRScale,
+	"qpscale":        (*run).QPScale,
+	"ablation-xlate": (*run).AblationTranslationCache,
+	"ablation-mmio":  (*run).AblationMMIOCost,
+	"ablation-qpi":   (*run).AblationQPILatency,
+	"ycsb":           (*run).YCSBMixed,
+	"engine":         (*run).EngineDisjointPairs,
+	"qpsweep":        (*run).QPSweep,
+	"availability":   (*run).Availability,
+	"adaptive":       (*run).AdaptiveRuntime,
+	"txn":            (*run).TxnConflicts,
 }
 
-// Run executes the named experiment.
-func Run(id string, scale float64) (*Report, error) {
-	d, ok := registry[id]
+// Run executes the named experiment under opts. With a fault plan or a
+// metrics registry attached, the report also carries the fault and
+// reliability tallies summed over every cluster the run built; with a
+// registry, their NIC and fabric counters are folded into it and the drained
+// snapshot lands in Report.Metrics.
+func Run(id string, scale float64, opts Options) (*Report, error) {
+	d, ok := experiments[id]
 	if !ok {
 		return nil, fmt.Errorf("bench: unknown experiment %q (see List)", id)
 	}
 	if scale <= 0 || scale > 1 {
 		return nil, fmt.Errorf("bench: scale must be in (0,1], got %v", scale)
 	}
-	if metricsReg != nil {
-		metricsReg.SetExperiment(id)
+	if opts.Metrics != nil {
+		opts.Metrics.SetExperiment(id)
 	}
-	return d(scale)
+	opts.EngineWorkers = max(opts.EngineWorkers, 1)
+	if opts.Parallel < 1 {
+		opts.Parallel = runtime.GOMAXPROCS(0)
+	}
+	r := &run{opts: opts, record: opts.Metrics != nil || opts.Faults != nil}
+	rep, err := d(r, scale)
+	if err != nil {
+		return nil, err
+	}
+	for _, cl := range r.clusters {
+		rep.Faults.Add(cl.Fabric().FaultStats())
+		for _, m := range cl.Machines() {
+			rep.Reliability.Add(m.NIC().Counters().Rel)
+		}
+		cl.FoldTelemetry()
+	}
+	if opts.Metrics != nil {
+		rep.Metrics = opts.Metrics.Take()
+	}
+	return rep, nil
 }
 
-// List returns the registered experiment ids in order.
+// List returns the experiment ids in order.
 func List() []string {
-	out := make([]string, 0, len(registry))
-	for id := range registry {
+	out := make([]string, 0, len(experiments))
+	for id := range experiments {
 		out = append(out, id)
 	}
 	sort.Strings(out)
+	return out
+}
+
+// parseModes parses a comma-separated subset of known (empty = nil, all).
+func parseModes(spec string, known []string, kind string) ([]string, error) {
+	if spec == "" {
+		return nil, nil
+	}
+	modes := strings.Split(spec, ",")
+	for _, m := range modes {
+		if !slices.Contains(known, m) {
+			return nil, fmt.Errorf("bench: unknown %s mode %q (have %v)", kind, m, known)
+		}
+	}
+	return modes, nil
+}
+
+// selectModes returns the modes of all that want names, in all's order (a
+// nil want selects all).
+func selectModes(all, want []string) []string {
+	if want == nil {
+		return all
+	}
+	var out []string
+	for _, m := range all {
+		if slices.Contains(want, m) {
+			out = append(out, m)
+		}
+	}
 	return out
 }
 
@@ -146,10 +257,10 @@ type pairEnv struct {
 
 // newPair builds the environment with the given registered-region size on
 // the remote side.
-func newPair(remoteBytes int) (*pairEnv, error) {
+func (r *run) newPair(remoteBytes int) (*pairEnv, error) {
 	cfg := cluster.DefaultConfig()
 	cfg.Machines = 2
-	cl, err := newCluster(cfg)
+	cl, err := r.newCluster(cfg, r.opts.Faults)
 	if err != nil {
 		return nil, err
 	}
@@ -204,6 +315,6 @@ func measure(op sim.Op, window int, postCost sim.Duration, h sim.Duration) sim.R
 // engine builds the pair environment's sharded engine; clients added to it
 // run with the machine-0/machine-1 footprint of the one-to-one
 // microbenchmarks.
-func (env *pairEnv) engine() (*cluster.Engine, *cluster.Machine, *cluster.Machine) {
-	return env.cl.NewEngine(EngineWorkers()), env.cl.Machine(0), env.cl.Machine(1)
+func (r *run) pairEngine(env *pairEnv) (*cluster.Engine, *cluster.Machine, *cluster.Machine) {
+	return env.cl.NewEngine(r.opts.EngineWorkers), env.cl.Machine(0), env.cl.Machine(1)
 }

@@ -28,13 +28,13 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	if _, err := Run("no-such-exp", 1); err == nil {
+	if _, err := Run("no-such-exp", 1, Options{}); err == nil {
 		t.Error("unknown experiment must fail")
 	}
-	if _, err := Run("fig1", 0); err == nil {
+	if _, err := Run("fig1", 0, Options{}); err == nil {
 		t.Error("zero scale must fail")
 	}
-	if _, err := Run("fig1", 2); err == nil {
+	if _, err := Run("fig1", 2, Options{}); err == nil {
 		t.Error("scale > 1 must fail")
 	}
 }
@@ -43,7 +43,7 @@ func TestRunValidation(t *testing.T) {
 func TestFastExperimentsSmoke(t *testing.T) {
 	fast := []string{"fig1", "fig4", "fig8", "table2", "fig6c", "ablation-mmio"}
 	for _, id := range fast {
-		r, err := Run(id, 0.05)
+		r, err := Run(id, 0.05, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -58,7 +58,7 @@ func TestFastExperimentsSmoke(t *testing.T) {
 // Paper-shape assertions for the core microbenchmarks.
 
 func TestFig1Shape(t *testing.T) {
-	r, err := Run("fig1", 0.25)
+	r, err := Run("fig1", 0.25, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestFig1Shape(t *testing.T) {
 }
 
 func TestFig4Shape(t *testing.T) {
-	r, err := Run("fig4", 0.25)
+	r, err := Run("fig4", 0.25, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestFig4Shape(t *testing.T) {
 }
 
 func TestTable3Shape(t *testing.T) {
-	r, err := Run("table3", 0.25)
+	r, err := Run("table3", 0.25, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestTable3Shape(t *testing.T) {
 }
 
 func TestFig8Shape(t *testing.T) {
-	r, err := Run("fig8", 0.25)
+	r, err := Run("fig8", 0.25, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,12 +9,10 @@ import (
 	"rdmasem/internal/verbs"
 )
 
-func init() { register("breakdown", Breakdown) }
-
 // Breakdown regenerates Section III-D's end-to-end latency decomposition
 // T(RNIC->Socket) + T(Network) + T(Socket->Memory) for a 64 B WRITE under
 // each placement, using the per-operation stage tracer.
-func Breakdown(scale float64) (*Report, error) {
+func (r *run) Breakdown(scale float64) (*Report, error) {
 	_ = scale
 	tb := stats.NewTable("III-D latency decomposition of a warm 64B WRITE (ns)")
 	tb.Row("placement", "RNIC->Socket", "Network", "Socket->Memory", "CQE", "total")
@@ -29,9 +27,9 @@ func Breakdown(scale float64) (*Report, error) {
 		{"alt everything", 0, 0, 0},
 	}
 	type row struct{ rnic, net, s2m, cqe, total int64 }
-	rows, err := points(len(placements), func(i int) (row, error) {
+	rows, err := points(r, len(placements), func(i int) (row, error) {
 		p := placements[i]
-		env, err := newPair(1 << 22)
+		env, err := r.newPair(1 << 22)
 		if err != nil {
 			return row{}, err
 		}
@@ -62,13 +60,13 @@ func Breakdown(scale float64) (*Report, error) {
 		return nil, err
 	}
 	for i, p := range placements {
-		r := rows[i]
+		row := rows[i]
 		tb.Row(p.label,
-			fmt.Sprintf("%d", r.rnic),
-			fmt.Sprintf("%d", r.net),
-			fmt.Sprintf("%d", r.s2m),
-			fmt.Sprintf("%d", r.cqe),
-			fmt.Sprintf("%d", r.total))
+			fmt.Sprintf("%d", row.rnic),
+			fmt.Sprintf("%d", row.net),
+			fmt.Sprintf("%d", row.s2m),
+			fmt.Sprintf("%d", row.cqe),
+			fmt.Sprintf("%d", row.total))
 	}
 	return &Report{
 		ID:     "breakdown",

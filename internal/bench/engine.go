@@ -8,8 +8,6 @@ import (
 	"rdmasem/internal/verbs"
 )
 
-func init() { register("engine", EngineDisjointPairs) }
-
 // pairTrafficMOPS measures aggregate 64 B RC WRITE throughput over `pairs`
 // disjoint machine pairs in one cluster. Pair p connects machine 2p to
 // machine 2p+1 and never touches any other machine, so each pair is its own
@@ -17,14 +15,14 @@ func init() { register("engine", EngineDisjointPairs) }
 // N of them on concurrent host threads. The aggregate is a plain sum of
 // independent closed loops, which is exactly why the result is byte-identical
 // at every worker count — the property the engine golden pins.
-func pairTrafficMOPS(pairs int, h sim.Duration) (float64, error) {
+func (r *run) pairTrafficMOPS(pairs int, h sim.Duration) (float64, error) {
 	cfg := cluster.DefaultConfig()
 	cfg.Machines = 2 * pairs
-	cl, err := newCluster(cfg)
+	cl, err := r.newCluster(cfg, r.opts.Faults)
 	if err != nil {
 		return 0, err
 	}
-	eng := cl.NewEngine(EngineWorkers())
+	eng := cl.NewEngine(r.opts.EngineWorkers)
 	for p := 0; p < pairs; p++ {
 		ma, mb := cl.Machine(2*p), cl.Machine(2*p+1)
 		ctxA, ctxB := verbs.NewContext(ma), verbs.NewContext(mb)
@@ -69,12 +67,12 @@ func pairTrafficMOPS(pairs int, h sim.Duration) (float64, error) {
 // whose shard graph is fully disconnected, so `rdmabench -exp engine
 // -engine-workers N` turns host parallelism into wall-clock speedup while
 // this golden pins the output bytes at every N.
-func EngineDisjointPairs(scale float64) (*Report, error) {
+func (r *run) EngineDisjointPairs(scale float64) (*Report, error) {
 	fig := stats.NewFigure("Engine: aggregate 64B RC WRITE throughput over disjoint machine pairs", "pairs", "throughput (MOPS)")
 	h := horizon(scale, 5*sim.Millisecond)
 	pairCounts := []int{1, 2, 4, 8}
-	ms, err := points(len(pairCounts), func(i int) (float64, error) {
-		return pairTrafficMOPS(pairCounts[i], h)
+	ms, err := points(r, len(pairCounts), func(i int) (float64, error) {
+		return r.pairTrafficMOPS(pairCounts[i], h)
 	})
 	if err != nil {
 		return nil, err

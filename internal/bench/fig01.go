@@ -8,24 +8,22 @@ import (
 	"rdmasem/internal/verbs"
 )
 
-func init() { register("fig1", Fig01PacketThrottling) }
-
 // fig1Sizes are the payload sizes of Figure 1 (2 B to 8 KB).
 var fig1Sizes = []int{2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192}
 
 // Fig01PacketThrottling reproduces Figure 1: WRITE/READ latency and
 // throughput over payload size on one QP, showing the packet-throttling
 // plateau for small payloads and the bandwidth knee past ~2 KB.
-func Fig01PacketThrottling(scale float64) (*Report, error) {
+func (r *run) Fig01PacketThrottling(scale float64) (*Report, error) {
 	latFig := stats.NewFigure("Fig 1 (left): access latency vs payload size", "size(B)", "latency (us)")
 	thrFig := stats.NewFigure("Fig 1 (right): throughput vs payload size", "size(B)", "throughput (MOPS)")
 	h := horizon(scale, 20*sim.Millisecond)
 
 	ops := []verbs.Opcode{verbs.OpWrite, verbs.OpRead}
 	type point struct{ lat, mops float64 }
-	res, err := points(len(ops)*len(fig1Sizes), func(i int) (point, error) {
+	res, err := points(r, len(ops)*len(fig1Sizes), func(i int) (point, error) {
 		op, size := ops[i/len(fig1Sizes)], fig1Sizes[i%len(fig1Sizes)]
-		env, err := newPair(1 << 22)
+		env, err := r.newPair(1 << 22)
 		if err != nil {
 			return point{}, err
 		}
@@ -49,7 +47,7 @@ func Fig01PacketThrottling(scale float64) (*Report, error) {
 
 		// Fresh environment for the closed-loop throughput run: reusing
 		// the latency env would leak queued resource history into it.
-		env, err = newPair(1 << 22)
+		env, err = r.newPair(1 << 22)
 		if err != nil {
 			return point{}, err
 		}

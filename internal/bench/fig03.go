@@ -9,12 +9,6 @@ import (
 	"rdmasem/internal/verbs"
 )
 
-func init() {
-	register("fig3", Fig03BatchStrategies)
-	register("fig4", Fig04BatchSizes)
-	register("fig5", Fig05ThreadScaling)
-}
-
 // perEntryCPU is the CPU cost of producing/dispatching one entry in the
 // vector-IO microbenchmarks.
 const perEntryCPU sim.Duration = 60
@@ -22,12 +16,12 @@ const perEntryCPU sim.Duration = 60
 // batchThroughput measures entries/s (in MOPS) for one strategy at one
 // payload and batch size on a fresh one-to-one environment, with `clients`
 // concurrent workers each on its own QP.
-func batchThroughput(strategy core.Strategy, size, batch, clients int, h sim.Duration) (float64, error) {
-	env, err := newPair(1 << 22)
+func (r *run) batchThroughput(strategy core.Strategy, size, batch, clients int, h sim.Duration) (float64, error) {
+	env, err := r.newPair(1 << 22)
 	if err != nil {
 		return 0, err
 	}
-	eng, ma, mb := env.engine()
+	eng, ma, mb := r.pairEngine(env)
 	for c := 0; c < clients; c++ {
 		qp := env.qpA
 		if c > 0 {
@@ -77,7 +71,7 @@ func localVectorMOPS(op topo.AccessOp, size, batch int) float64 {
 
 // Fig03BatchStrategies reproduces Figure 3: the three batch strategies over
 // payload size at batch sizes 4 and 16, plus the local writev baseline.
-func Fig03BatchStrategies(scale float64) (*Report, error) {
+func (r *run) Fig03BatchStrategies(scale float64) (*Report, error) {
 	fig := stats.NewFigure("Fig 3: batch strategies vs payload size", "size(B)", "throughput (MOPS, entries)")
 	h := horizon(scale, 10*sim.Millisecond)
 	sizes := []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048}
@@ -94,9 +88,9 @@ func Fig03BatchStrategies(scale float64) (*Report, error) {
 			}
 		}
 	}
-	ms, err := points(len(cells), func(i int) (float64, error) {
+	ms, err := points(r, len(cells), func(i int) (float64, error) {
 		c := cells[i]
-		return batchThroughput(c.s, c.size, c.batch, 1, h)
+		return r.batchThroughput(c.s, c.size, c.batch, 1, h)
 	})
 	if err != nil {
 		return nil, err
@@ -125,13 +119,13 @@ func labelFor(batch int) string {
 
 // Fig04BatchSizes reproduces Figure 4: throughput vs batch size 1-32 at 32 B
 // payloads, including the local readv/writev baselines.
-func Fig04BatchSizes(scale float64) (*Report, error) {
+func (r *run) Fig04BatchSizes(scale float64) (*Report, error) {
 	fig := stats.NewFigure("Fig 4: batch size sweep at 32B payloads", "batch", "throughput (MOPS, entries)")
 	h := horizon(scale, 10*sim.Millisecond)
 	batches := []int{1, 2, 4, 8, 16, 32}
 	strategies := []core.Strategy{core.Doorbell, core.SGL, core.SP}
-	ms, err := points(len(strategies)*len(batches), func(i int) (float64, error) {
-		return batchThroughput(strategies[i/len(batches)], 32, batches[i%len(batches)], 1, h)
+	ms, err := points(r, len(strategies)*len(batches), func(i int) (float64, error) {
+		return r.batchThroughput(strategies[i/len(batches)], 32, batches[i%len(batches)], 1, h)
 	})
 	if err != nil {
 		return nil, err
@@ -156,13 +150,13 @@ func Fig04BatchSizes(scale float64) (*Report, error) {
 
 // Fig05ThreadScaling reproduces Figure 5: per-thread throughput with 1-8
 // threads, batch size 4, 32 B payloads.
-func Fig05ThreadScaling(scale float64) (*Report, error) {
+func (r *run) Fig05ThreadScaling(scale float64) (*Report, error) {
 	fig := stats.NewFigure("Fig 5: per-thread throughput vs thread count (batch 4, 32B)", "threads", "per-thread throughput (MOPS)")
 	h := horizon(scale, 10*sim.Millisecond)
 	strategies := []core.Strategy{core.Doorbell, core.SGL, core.SP}
 	const maxThreads = 8
-	ms, err := points(len(strategies)*maxThreads, func(i int) (float64, error) {
-		return batchThroughput(strategies[i/maxThreads], 32, 4, i%maxThreads+1, h)
+	ms, err := points(r, len(strategies)*maxThreads, func(i int) (float64, error) {
+		return r.batchThroughput(strategies[i/maxThreads], 32, 4, i%maxThreads+1, h)
 	})
 	if err != nil {
 		return nil, err

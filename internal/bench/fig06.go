@@ -10,12 +10,6 @@ import (
 	"rdmasem/internal/verbs"
 )
 
-func init() {
-	register("fig6", Fig06RandSeq)
-	register("fig6c", Fig06cLocalDRAM)
-	register("fig6d", Fig06dRegisteredSize)
-}
-
 // addrPattern generates the next (local, remote) offset pair for the given
 // source/destination patterns over the given region spans.
 type addrPattern struct {
@@ -53,8 +47,8 @@ func (p *addrPattern) next() (lo, ro int) {
 
 // randSeqThroughput measures one pattern combination. The remote region is
 // regionBytes large (Figure 6a/b fix it at 2 GB; Figure 6d sweeps it).
-func randSeqThroughput(op verbs.Opcode, srcSeq, dstSeq bool, size, regionBytes int, h sim.Duration) (float64, error) {
-	env, err := newPair(regionBytes)
+func (r *run) randSeqThroughput(op verbs.Opcode, srcSeq, dstSeq bool, size, regionBytes int, h sim.Duration) (float64, error) {
+	env, err := r.newPair(regionBytes)
 	if err != nil {
 		return 0, err
 	}
@@ -97,7 +91,7 @@ var fig6Sizes = []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8
 // throughput for the four sequential/random source/destination pattern
 // combinations over a large registered region (sparse-backed, so the full
 // virtual page range drives the translation cache without the host memory).
-func Fig06RandSeq(scale float64) (*Report, error) {
+func (r *run) Fig06RandSeq(scale float64) (*Report, error) {
 	// The paper registers 2 GB. The translation cache covers 4 MB, so any
 	// region far beyond that thrashes identically; 256 MB keeps the host
 	// allocation modest while staying 64x beyond the cache coverage.
@@ -129,9 +123,9 @@ func Fig06RandSeq(scale float64) (*Report, error) {
 			}
 		}
 	}
-	ms, err := points(len(cells), func(i int) (float64, error) {
+	ms, err := points(r, len(cells), func(i int) (float64, error) {
 		c := cells[i]
-		return randSeqThroughput(c.op, c.s, c.d, c.size, region, h)
+		return r.randSeqThroughput(c.op, c.s, c.d, c.size, region, h)
 	})
 	if err != nil {
 		return nil, err
@@ -157,7 +151,7 @@ func Fig06RandSeq(scale float64) (*Report, error) {
 }
 
 // Fig06cLocalDRAM reproduces Figure 6(c): local DRAM rand/seq read/write.
-func Fig06cLocalDRAM(scale float64) (*Report, error) {
+func (r *run) Fig06cLocalDRAM(scale float64) (*Report, error) {
 	_ = scale
 	fig := stats.NewFigure("Fig 6c: local DRAM rand/seq throughput", "size(B)", "throughput (MOPS)")
 	tp := topo.DefaultParams()
@@ -188,7 +182,7 @@ func Fig06cLocalDRAM(scale float64) (*Report, error) {
 // Fig06dRegisteredSize reproduces Figure 6(d): 32 B access throughput vs the
 // registered region size, 4 KB to 4 GB. Below the translation cache's 4 MB
 // coverage the rand/seq gap vanishes.
-func Fig06dRegisteredSize(scale float64) (*Report, error) {
+func (r *run) Fig06dRegisteredSize(scale float64) (*Report, error) {
 	fig := stats.NewFigure("Fig 6d: throughput vs registered region size (32B writes)", "region(B)", "throughput (MOPS)")
 	h := horizon(scale, 5*sim.Millisecond)
 	regions := []int{4 << 10, 4 << 20, 16 << 20, 64 << 20, 256 << 20, 1 << 30}
@@ -201,9 +195,9 @@ func Fig06dRegisteredSize(scale float64) (*Report, error) {
 		{"seq-rand", true, false},
 		{"seq-seq", true, true},
 	}
-	ms, err := points(len(combos)*len(regions), func(i int) (float64, error) {
+	ms, err := points(r, len(combos)*len(regions), func(i int) (float64, error) {
 		combo := combos[i/len(regions)]
-		return randSeqThroughput(verbs.OpWrite, combo.s, combo.d, 32, regions[i%len(regions)], h)
+		return r.randSeqThroughput(verbs.OpWrite, combo.s, combo.d, 32, regions[i%len(regions)], h)
 	})
 	if err != nil {
 		return nil, err

@@ -10,12 +10,10 @@ import (
 	"rdmasem/internal/verbs"
 )
 
-func init() { register("fig8", Fig08Consolidation) }
-
 // Fig08Consolidation reproduces Figure 8: 32 B random writes into 1 KB
 // aligned blocks, native one-write-per-request vs IO consolidation with
 // θ in {1, 2, 4, 8, 16}.
-func Fig08Consolidation(scale float64) (*Report, error) {
+func (r *run) Fig08Consolidation(scale float64) (*Report, error) {
 	fig := stats.NewFigure("Fig 8: IO consolidation (32B random writes, 1KB blocks)", "theta", "throughput (MOPS)")
 	h := horizon(scale, 10*sim.Millisecond)
 	const blockSize = 1024
@@ -24,9 +22,9 @@ func Fig08Consolidation(scale float64) (*Report, error) {
 
 	// theta=0 stands for the native path: every 32 B write is one RDMA write.
 	thetas := []int{0, 1, 2, 4, 8, 16}
-	ms, err := points(len(thetas), func(i int) (float64, error) {
+	ms, err := points(r, len(thetas), func(i int) (float64, error) {
 		theta := thetas[i]
-		env, err := newPair(1 << 22)
+		env, err := r.newPair(1 << 22)
 		if err != nil {
 			return 0, err
 		}

@@ -9,11 +9,6 @@ import (
 	"rdmasem/internal/verbs"
 )
 
-func init() {
-	register("fig10a", Fig10aSpinlock)
-	register("fig10b", Fig10bSequencer)
-}
-
 // lockCluster builds n client machines plus one home machine for the lock
 // word / counter / RPC server.
 type lockCluster struct {
@@ -25,10 +20,10 @@ type lockCluster struct {
 	scrs   []*verbs.MR
 }
 
-func newLockCluster(n int) (*lockCluster, error) {
+func (r *run) newLockCluster(n int) (*lockCluster, error) {
 	cfg := cluster.DefaultConfig()
 	cfg.Machines = n + 1
-	cl, err := newCluster(cfg)
+	cl, err := r.newCluster(cfg, r.opts.Faults)
 	if err != nil {
 		return nil, err
 	}
@@ -56,13 +51,13 @@ func newLockCluster(n int) (*lockCluster, error) {
 }
 
 // remoteLockMOPS measures aggregate lock+unlock cycles per second.
-func remoteLockMOPS(n int, backoff *core.BackoffConfig, h sim.Duration) (float64, error) {
-	lc, err := newLockCluster(n)
+func (r *run) remoteLockMOPS(n int, backoff *core.BackoffConfig, h sim.Duration) (float64, error) {
+	lc, err := r.newLockCluster(n)
 	if err != nil {
 		return 0, err
 	}
 	state := core.NewLockState()
-	eng := lc.cl.NewEngine(EngineWorkers())
+	eng := lc.cl.NewEngine(r.opts.EngineWorkers)
 	for i := 0; i < n; i++ {
 		lock, err := core.NewRemoteLock(state, lc.qps[i],
 			verbs.SGE{Addr: lc.scrs[i].Addr(), Length: 8, MR: lc.scrs[i]},
@@ -110,8 +105,8 @@ func localLockMOPS(n int, h sim.Duration) float64 {
 }
 
 // rpcLockMOPS measures the channel-semantic lock baseline.
-func rpcLockMOPS(n int, h sim.Duration) (float64, error) {
-	lc, err := newLockCluster(n)
+func (r *run) rpcLockMOPS(n int, h sim.Duration) (float64, error) {
+	lc, err := r.newLockCluster(n)
 	if err != nil {
 		return 0, err
 	}
@@ -120,7 +115,7 @@ func rpcLockMOPS(n int, h sim.Duration) (float64, error) {
 		return 0, err
 	}
 	state := core.NewLockState()
-	eng := lc.cl.NewEngine(EngineWorkers())
+	eng := lc.cl.NewEngine(r.opts.EngineWorkers)
 	for i := 0; i < n; i++ {
 		rc, err := srv.NewRPCClient(lc.ctxs[i], 1, 1, lc.scrs[i])
 		if err != nil {
@@ -149,7 +144,7 @@ func rpcLockMOPS(n int, h sim.Duration) (float64, error) {
 // Fig10aSpinlock reproduces Figure 10(a): local vs remote vs RPC spinlocks
 // over thread count, plus the exponential back-off variant of the remote
 // lock.
-func Fig10aSpinlock(scale float64) (*Report, error) {
+func (r *run) Fig10aSpinlock(scale float64) (*Report, error) {
 	fig := stats.NewFigure("Fig 10a: spinlock throughput (lock+unlock cycles)", "threads", "throughput (MOPS)")
 	h := horizon(scale, 10*sim.Millisecond)
 	bo := core.DefaultBackoff()
@@ -159,11 +154,11 @@ func Fig10aSpinlock(scale float64) (*Report, error) {
 		run   func(n int) (float64, error)
 	}{
 		{"Local", func(n int) (float64, error) { return localLockMOPS(n, h), nil }},
-		{"Remote", func(n int) (float64, error) { return remoteLockMOPS(n, nil, h) }},
-		{"Remote(backoff)", func(n int) (float64, error) { return remoteLockMOPS(n, &bo, h) }},
-		{"RPC-based", func(n int) (float64, error) { return rpcLockMOPS(n, h) }},
+		{"Remote", func(n int) (float64, error) { return r.remoteLockMOPS(n, nil, h) }},
+		{"Remote(backoff)", func(n int) (float64, error) { return r.remoteLockMOPS(n, &bo, h) }},
+		{"RPC-based", func(n int) (float64, error) { return r.rpcLockMOPS(n, h) }},
 	}
-	ms, err := points(len(threads)*len(variants), func(i int) (float64, error) {
+	ms, err := points(r, len(threads)*len(variants), func(i int) (float64, error) {
 		return variants[i%len(variants)].run(threads[i/len(variants)])
 	})
 	if err != nil {
@@ -205,12 +200,12 @@ func localSequencerMOPS(n int, h sim.Duration) float64 {
 }
 
 // remoteSequencerMOPS: FAA against the home machine.
-func remoteSequencerMOPS(n int, h sim.Duration) (float64, error) {
-	lc, err := newLockCluster(n)
+func (r *run) remoteSequencerMOPS(n int, h sim.Duration) (float64, error) {
+	lc, err := r.newLockCluster(n)
 	if err != nil {
 		return 0, err
 	}
-	eng := lc.cl.NewEngine(EngineWorkers())
+	eng := lc.cl.NewEngine(r.opts.EngineWorkers)
 	for i := 0; i < n; i++ {
 		seq, err := core.NewRemoteSequencer(lc.qps[i],
 			verbs.SGE{Addr: lc.scrs[i].Addr(), Length: 8, MR: lc.scrs[i]},
@@ -234,8 +229,8 @@ func remoteSequencerMOPS(n int, h sim.Duration) (float64, error) {
 }
 
 // rpcSequencerMOPS: counter behind a server.
-func rpcSequencerMOPS(n int, h sim.Duration) (float64, error) {
-	lc, err := newLockCluster(n)
+func (r *run) rpcSequencerMOPS(n int, h sim.Duration) (float64, error) {
+	lc, err := r.newLockCluster(n)
 	if err != nil {
 		return 0, err
 	}
@@ -244,7 +239,7 @@ func rpcSequencerMOPS(n int, h sim.Duration) (float64, error) {
 		return 0, err
 	}
 	var counter uint64
-	eng := lc.cl.NewEngine(EngineWorkers())
+	eng := lc.cl.NewEngine(r.opts.EngineWorkers)
 	for i := 0; i < n; i++ {
 		rc, err := srv.NewRPCClient(lc.ctxs[i], 1, 1, lc.scrs[i])
 		if err != nil {
@@ -267,8 +262,8 @@ func rpcSequencerMOPS(n int, h sim.Duration) (float64, error) {
 }
 
 // udRPCSequencerMOPS: the datagram-transport RPC sequencer.
-func udRPCSequencerMOPS(n int, h sim.Duration) (float64, error) {
-	lc, err := newLockCluster(n)
+func (r *run) udRPCSequencerMOPS(n int, h sim.Duration) (float64, error) {
+	lc, err := r.newLockCluster(n)
 	if err != nil {
 		return 0, err
 	}
@@ -277,7 +272,7 @@ func udRPCSequencerMOPS(n int, h sim.Duration) (float64, error) {
 		return 0, err
 	}
 	var udCounter uint64
-	eng := lc.cl.NewEngine(EngineWorkers())
+	eng := lc.cl.NewEngine(r.opts.EngineWorkers)
 	for i := 0; i < n; i++ {
 		uc, err := udSrv.NewUDRPCClient(lc.ctxs[i], 1, lc.scrs[i])
 		if err != nil {
@@ -301,7 +296,7 @@ func udRPCSequencerMOPS(n int, h sim.Duration) (float64, error) {
 
 // Fig10bSequencer reproduces Figure 10(b): local vs remote vs RPC
 // sequencers over thread count.
-func Fig10bSequencer(scale float64) (*Report, error) {
+func (r *run) Fig10bSequencer(scale float64) (*Report, error) {
 	fig := stats.NewFigure("Fig 10b: sequencer throughput", "threads", "throughput (MOPS)")
 	h := horizon(scale, 10*sim.Millisecond)
 	threads := []int{1, 2, 4, 6, 8, 10, 12, 14, 16}
@@ -310,13 +305,13 @@ func Fig10bSequencer(scale float64) (*Report, error) {
 		run   func(n int) (float64, error)
 	}{
 		{"Local Sequencer", func(n int) (float64, error) { return localSequencerMOPS(n, h), nil }},
-		{"Remote Sequencer", func(n int) (float64, error) { return remoteSequencerMOPS(n, h) }},
-		{"RPC Sequencer", func(n int) (float64, error) { return rpcSequencerMOPS(n, h) }},
+		{"Remote Sequencer", func(n int) (float64, error) { return r.remoteSequencerMOPS(n, h) }},
+		{"RPC Sequencer", func(n int) (float64, error) { return r.rpcSequencerMOPS(n, h) }},
 		// UD RPC: the Herd/FaSST-style datagram variant Section III-E cites
 		// as the faster two-sided implementation.
-		{"UD RPC Sequencer", func(n int) (float64, error) { return udRPCSequencerMOPS(n, h) }},
+		{"UD RPC Sequencer", func(n int) (float64, error) { return r.udRPCSequencerMOPS(n, h) }},
 	}
-	ms, err := points(len(threads)*len(variants), func(i int) (float64, error) {
+	ms, err := points(r, len(threads)*len(variants), func(i int) (float64, error) {
 		return variants[i%len(variants)].run(threads[i/len(variants)])
 	})
 	if err != nil {

@@ -11,16 +11,11 @@ import (
 	"rdmasem/internal/workload"
 )
 
-func init() {
-	register("fig12", Fig12HashtableBreakdown)
-	register("fig13", Fig13HashtableConsolidation)
-}
-
 // hashtableMOPS runs the disaggregated hashtable under a zipf(0.99) 100%
 // write workload with the given number of front-ends (spread over 7 client
 // machines x 2 sockets, as on the paper's 8-machine testbed).
-func hashtableMOPS(level hashtable.Level, theta, frontEnds int, hotFrac float64, h sim.Duration) (float64, error) {
-	cl, err := newCluster(cluster.DefaultConfig())
+func (r *run) hashtableMOPS(level hashtable.Level, theta, frontEnds int, hotFrac float64, h sim.Duration) (float64, error) {
+	cl, err := r.newCluster(cluster.DefaultConfig(), r.opts.Faults)
 	if err != nil {
 		return 0, err
 	}
@@ -43,7 +38,7 @@ func hashtableMOPS(level hashtable.Level, theta, frontEnds int, hotFrac float64,
 		return 0, err
 	}
 	val := make([]byte, 64)
-	eng := cl.NewEngine(EngineWorkers())
+	eng := cl.NewEngine(r.opts.EngineWorkers)
 	for i := 0; i < frontEnds; i++ {
 		// Alternate sockets first so both ports carry traffic from two
 		// front-ends onward, then spread over the seven client machines.
@@ -74,7 +69,7 @@ func hashtableMOPS(level hashtable.Level, theta, frontEnds int, hotFrac float64,
 
 // Fig12HashtableBreakdown reproduces Figure 12: throughput over front-end
 // count for the cumulative optimization levels.
-func Fig12HashtableBreakdown(scale float64) (*Report, error) {
+func (r *run) Fig12HashtableBreakdown(scale float64) (*Report, error) {
 	fig := stats.NewFigure("Fig 12: disaggregated hashtable optimization breakdown", "front-ends", "throughput (MOPS)")
 	h := horizon(scale, 5*sim.Millisecond)
 	const hotFrac = 1.0 / 8
@@ -89,9 +84,9 @@ func Fig12HashtableBreakdown(scale float64) (*Report, error) {
 		{"+Reorder-OPT (th=4)", hashtable.Reorder, 4},
 		{"+Reorder-OPT (th=16)", hashtable.Reorder, 16},
 	}
-	ms, err := points(maxFE*len(levels), func(i int) (float64, error) {
+	ms, err := points(r, maxFE*len(levels), func(i int) (float64, error) {
 		l := levels[i%len(levels)]
-		return hashtableMOPS(l.level, l.theta, i/len(levels)+1, hotFrac, h)
+		return r.hashtableMOPS(l.level, l.theta, i/len(levels)+1, hotFrac, h)
 	})
 	if err != nil {
 		return nil, err
@@ -112,18 +107,18 @@ func Fig12HashtableBreakdown(scale float64) (*Report, error) {
 
 // Fig13HashtableConsolidation reproduces Figure 13: throughput over the hot
 // key proportion (a) and the consolidation batch size (b).
-func Fig13HashtableConsolidation(scale float64) (*Report, error) {
+func (r *run) Fig13HashtableConsolidation(scale float64) (*Report, error) {
 	h := horizon(scale, 5*sim.Millisecond)
 	const frontEnds = 6
 	figA := stats.NewFigure("Fig 13a: throughput vs hot key proportion (theta=16)", "1/proportion", "throughput (MOPS)")
 	figB := stats.NewFigure("Fig 13b: throughput vs batch size (hot=1/8)", "theta", "throughput (MOPS)")
 	denoms := []int{4, 8, 16, 32}
 	thetas := []int{1, 2, 4, 8, 16}
-	ms, err := points(len(denoms)+len(thetas), func(i int) (float64, error) {
+	ms, err := points(r, len(denoms)+len(thetas), func(i int) (float64, error) {
 		if i < len(denoms) {
-			return hashtableMOPS(hashtable.Reorder, 16, frontEnds, 1.0/float64(denoms[i]), h)
+			return r.hashtableMOPS(hashtable.Reorder, 16, frontEnds, 1.0/float64(denoms[i]), h)
 		}
-		return hashtableMOPS(hashtable.Reorder, thetas[i-len(denoms)], frontEnds, 1.0/8, h)
+		return r.hashtableMOPS(hashtable.Reorder, thetas[i-len(denoms)], frontEnds, 1.0/8, h)
 	})
 	if err != nil {
 		return nil, err

@@ -9,11 +9,9 @@ import (
 	"rdmasem/internal/workload"
 )
 
-func init() { register("fig15", Fig15Shuffle) }
-
 // shuffleMOPS measures aggregate entries/s of a shuffle deployment.
-func shuffleMOPS(executors, batch int, strategy core.Strategy, numa bool, h sim.Duration) (float64, error) {
-	cl, err := newCluster(cluster.DefaultConfig())
+func (r *run) shuffleMOPS(executors, batch int, strategy core.Strategy, numa bool, h sim.Duration) (float64, error) {
+	cl, err := r.newCluster(cluster.DefaultConfig(), r.opts.Faults)
 	if err != nil {
 		return 0, err
 	}
@@ -28,7 +26,7 @@ func shuffleMOPS(executors, batch int, strategy core.Strategy, numa bool, h sim.
 	}
 	// Every executor scatters to all the others, so each client's footprint
 	// is the whole cluster: the run is a single shard by construction.
-	eng := cl.NewEngine(EngineWorkers())
+	eng := cl.NewEngine(r.opts.EngineWorkers)
 	all := cl.Machines()
 	for _, ex := range s.Executors() {
 		ex := ex
@@ -54,7 +52,7 @@ func shuffleMOPS(executors, batch int, strategy core.Strategy, numa bool, h sim.
 
 // Fig15Shuffle reproduces Figure 15: shuffle throughput over executor count
 // for the basic path and the SGL/SP batched variants.
-func Fig15Shuffle(scale float64) (*Report, error) {
+func (r *run) Fig15Shuffle(scale float64) (*Report, error) {
 	fig := stats.NewFigure("Fig 15: distributed shuffle throughput", "executors", "throughput (MOPS, entries)")
 	h := horizon(scale, 2*sim.Millisecond)
 	type cell struct {
@@ -70,9 +68,9 @@ func Fig15Shuffle(scale float64) (*Report, error) {
 			cells = append(cells, cell{sglLabel("SP", batch), n, batch, core.SP})
 		}
 	}
-	ms, err := points(len(cells), func(i int) (float64, error) {
+	ms, err := points(r, len(cells), func(i int) (float64, error) {
 		c := cells[i]
-		return shuffleMOPS(c.n, c.batch, c.strategy, true, h)
+		return r.shuffleMOPS(c.n, c.batch, c.strategy, true, h)
 	})
 	if err != nil {
 		return nil, err

@@ -12,16 +12,10 @@ import (
 	"rdmasem/internal/workload"
 )
 
-func init() {
-	register("fig16", Fig16JoinBatching)
-	register("fig17", Fig17JoinScale)
-	register("fig18", Fig18CPUCost)
-}
-
 // joinRun executes one distributed join configuration over relations of n
 // tuples each.
-func joinRun(executors, batch int, numa bool, n int) (join.Result, error) {
-	cl, err := newCluster(cluster.DefaultConfig())
+func (r *run) joinRun(executors, batch int, numa bool, n int) (join.Result, error) {
+	cl, err := r.newCluster(cluster.DefaultConfig(), r.opts.Faults)
 	if err != nil {
 		return join.Result{}, err
 	}
@@ -37,7 +31,7 @@ func joinRun(executors, batch int, numa bool, n int) (join.Result, error) {
 // Fig16JoinBatching reproduces Figure 16: (a) execution time over batch size
 // for 4/16 executors with and without NUMA awareness; (b) inverse execution
 // time over executor count against the ideal-scaling line.
-func Fig16JoinBatching(scale float64) (*Report, error) {
+func (r *run) Fig16JoinBatching(scale float64) (*Report, error) {
 	// The paper joins 16M-tuple relations; scale shrinks the input.
 	n := int(float64(1<<22) * scale)
 	if n < 1<<14 {
@@ -62,9 +56,9 @@ func Fig16JoinBatching(scale float64) (*Report, error) {
 			}
 		}
 	}
-	msA, err := points(len(cellsA), func(i int) (float64, error) {
+	msA, err := points(r, len(cellsA), func(i int) (float64, error) {
 		c := cellsA[i]
-		res, err := joinRun(c.theta, c.batch, c.numa, n)
+		res, err := r.joinRun(c.theta, c.batch, c.numa, n)
 		if err != nil {
 			return 0, err
 		}
@@ -80,8 +74,8 @@ func Fig16JoinBatching(scale float64) (*Report, error) {
 	figB := stats.NewFigure("Fig 16b: inverse join time vs executors", "executors", "1/time (1/s)")
 	execsList := []int{1, 2, 4, 8, 12, 16}
 	batchesB := []int{4, 16}
-	msB, err := points(len(execsList)*len(batchesB), func(i int) (float64, error) {
-		res, err := joinRun(execsList[i/len(batchesB)], batchesB[i%len(batchesB)], true, n)
+	msB, err := points(r, len(execsList)*len(batchesB), func(i int) (float64, error) {
+		res, err := r.joinRun(execsList[i/len(batchesB)], batchesB[i%len(batchesB)], true, n)
 		if err != nil {
 			return 0, err
 		}
@@ -112,7 +106,7 @@ func Fig16JoinBatching(scale float64) (*Report, error) {
 
 // Fig17JoinScale reproduces Figure 17: execution time over data scale for
 // the five configurations of the paper's breakdown.
-func Fig17JoinScale(scale float64) (*Report, error) {
+func (r *run) Fig17JoinScale(scale float64) (*Report, error) {
 	fig := stats.NewFigure("Fig 17: join time vs data scale", "tuples", "time (ms)")
 	base := int(float64(1<<20) * scale)
 	if base < 1<<13 {
@@ -130,9 +124,9 @@ func Fig17JoinScale(scale float64) (*Report, error) {
 		{"th=4,lam=16", 4, 16, true},
 		{"th=16,lam=16", 16, 16, true},
 	}
-	ms, err := points(len(mults)*len(configs), func(i int) (float64, error) {
+	ms, err := points(r, len(mults)*len(configs), func(i int) (float64, error) {
 		cfg := configs[i%len(configs)]
-		res, err := joinRun(cfg.execs, cfg.lam, cfg.numa, base*mults[i/len(configs)])
+		res, err := r.joinRun(cfg.execs, cfg.lam, cfg.numa, base*mults[i/len(configs)])
 		if err != nil {
 			return 0, err
 		}
@@ -158,14 +152,14 @@ func Fig17JoinScale(scale float64) (*Report, error) {
 
 // Fig18CPUCost reproduces Figure 18: requester CPU consumption of SP vs SGL
 // batching across entry sizes (normalized per gigabyte shipped).
-func Fig18CPUCost(scale float64) (*Report, error) {
+func (r *run) Fig18CPUCost(scale float64) (*Report, error) {
 	fig := stats.NewFigure("Fig 18: CPU cost of SP vs SGL per GB shipped", "entry(B)", "CPU seconds per GB")
 	h := horizon(scale, 5*sim.Millisecond)
 	strategies := []core.Strategy{core.SP, core.SGL}
 	entries := []int{64, 256, 1024, 4096}
-	ms, err := points(len(strategies)*len(entries), func(i int) (float64, error) {
+	ms, err := points(r, len(strategies)*len(entries), func(i int) (float64, error) {
 		strategy, entry := strategies[i/len(entries)], entries[i%len(entries)]
-		env, err := newPair(1 << 22)
+		env, err := r.newPair(1 << 22)
 		if err != nil {
 			return 0, err
 		}
@@ -180,13 +174,13 @@ func Fig18CPUCost(scale float64) (*Report, error) {
 		var cpu sim.Duration
 		var bytes int64
 		measure(func(t sim.Time) sim.Time {
-			r, err := b.WriteBatch(t, frags, env.mrB.Addr())
+			res, err := b.WriteBatch(t, frags, env.mrB.Addr())
 			if err != nil {
 				panic(err)
 			}
-			cpu += r.CPU
+			cpu += res.CPU
 			bytes += int64(entry * len(frags))
-			return r.Done
+			return res.Done
 		}, 2, 100, h)
 		return cpu.Seconds() / (float64(bytes) / (1 << 30)), nil
 	})

@@ -8,11 +8,9 @@ import (
 	"rdmasem/internal/topo"
 )
 
-func init() { register("fig19", Fig19DistributedLog) }
-
 // dlogMOPS measures aggregate appended records per second.
-func dlogMOPS(engines, batch int, numa bool, h sim.Duration) (float64, error) {
-	cl, err := newCluster(cluster.DefaultConfig())
+func (r *run) dlogMOPS(engines, batch int, numa bool, h sim.Duration) (float64, error) {
+	cl, err := r.newCluster(cluster.DefaultConfig(), r.opts.Faults)
 	if err != nil {
 		return 0, err
 	}
@@ -25,7 +23,7 @@ func dlogMOPS(engines, batch int, numa bool, h sim.Duration) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	eng := cl.NewEngine(EngineWorkers())
+	eng := cl.NewEngine(r.opts.EngineWorkers)
 	for i := 0; i < engines; i++ {
 		e, err := dlog.NewEngine(i, cl.Machine(1+i%7), topo.SocketID((i/7)%2), l)
 		if err != nil {
@@ -50,7 +48,7 @@ func dlogMOPS(engines, batch int, numa bool, h sim.Duration) (float64, error) {
 // Fig19DistributedLog reproduces Figure 19: appended records per second over
 // the batch size for 4/7/14 transaction engines, with and without NUMA
 // awareness.
-func Fig19DistributedLog(scale float64) (*Report, error) {
+func (r *run) Fig19DistributedLog(scale float64) (*Report, error) {
 	fig := stats.NewFigure("Fig 19: distributed log throughput", "batch", "throughput (MOPS, records)")
 	h := horizon(scale, 5*sim.Millisecond)
 	type cell struct {
@@ -66,9 +64,9 @@ func Fig19DistributedLog(scale float64) (*Report, error) {
 			}
 		}
 	}
-	ms, err := points(len(cells), func(i int) (float64, error) {
+	ms, err := points(r, len(cells), func(i int) (float64, error) {
 		c := cells[i]
-		return dlogMOPS(c.engines, c.batch, c.numa, h)
+		return r.dlogMOPS(c.engines, c.batch, c.numa, h)
 	})
 	if err != nil {
 		return nil, err

@@ -32,17 +32,10 @@ const goldenScale = 0.02
 // acceptance tests this pins the reliability layer's zero-cost-when-disabled
 // contract across the whole evaluation surface.
 func TestGoldenOutputs(t *testing.T) {
-	if faultPlan != nil {
-		t.Fatal("golden outputs must be rendered on a lossless fabric")
-	}
-	if *engineWorkersFlag > 0 {
-		SetEngineWorkers(*engineWorkersFlag)
-		defer SetEngineWorkers(1)
-	}
+	opts := Options{EngineWorkers: *engineWorkersFlag}
 	for _, id := range List() {
-		id := id
 		t.Run(id, func(t *testing.T) {
-			rep, err := Run(id, goldenScale)
+			rep, err := Run(id, goldenScale, opts)
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}

@@ -12,68 +12,14 @@ import (
 	"rdmasem/internal/verbs"
 )
 
-func init() {
-	register("qpsweep", QPSweep)
-}
-
 // The connection-serving modes the qpsweep experiment compares. Order is the
 // plotting order.
 var qpsweepModes = []string{"per-conn", "srq", "pool", "proxy"}
 
-// connModes is the active subset (set via -conn-modes); nil means all.
-var connModes []string
-
-// qpPoolSize is the physical-QP pool width of the pool and proxy modes.
-var qpPoolSize = 64
-
-// SetConnModes restricts the qpsweep experiment to the named serving modes
-// (nil or empty restores all four). Call before Run, never during one.
-func SetConnModes(modes []string) error {
-	if len(modes) == 0 {
-		connModes = nil
-		return nil
-	}
-	for _, m := range modes {
-		ok := false
-		for _, known := range qpsweepModes {
-			if m == known {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return fmt.Errorf("bench: unknown connection mode %q (have %v)", m, qpsweepModes)
-		}
-	}
-	connModes = modes
-	return nil
-}
-
-// SetQPPool fixes the physical-QP pool width of qpsweep's pool and proxy
-// modes. Call before Run, never during one.
-func SetQPPool(n int) error {
-	if n < 1 {
-		return fmt.Errorf("bench: QP pool must be at least 1, got %d", n)
-	}
-	qpPoolSize = n
-	return nil
-}
-
-// activeConnModes returns the modes to sweep in plotting order.
-func activeConnModes() []string {
-	if connModes == nil {
-		return qpsweepModes
-	}
-	out := make([]string, 0, len(qpsweepModes))
-	for _, m := range qpsweepModes {
-		for _, want := range connModes {
-			if m == want {
-				out = append(out, m)
-				break
-			}
-		}
-	}
-	return out
+// ParseConnModes parses a comma-separated subset of the qpsweep serving
+// modes; an empty spec selects all four.
+func ParseConnModes(spec string) ([]string, error) {
+	return parseModes(spec, qpsweepModes, "connection")
 }
 
 // connPoint is one (mode, connection count) measurement.
@@ -93,15 +39,15 @@ type connPoint struct {
 // registrations. Per-connection state overflows the context caches past
 // 8192 connections and aggregate throughput falls off a cliff; the pool and
 // proxy modes keep the NIC's working set bounded and recover it.
-func QPSweep(scale float64) (*Report, error) {
-	modes := activeConnModes()
+func (r *run) QPSweep(scale float64) (*Report, error) {
+	modes := selectModes(qpsweepModes, r.opts.ConnModes)
 	if len(modes) == 0 {
 		return nil, fmt.Errorf("bench: no connection modes selected")
 	}
 	counts := []int{100, 1000, 5000, 10000, 20000}
 	h := horizon(scale, 2*sim.Millisecond)
-	pts, err := points(len(modes)*len(counts), func(i int) (connPoint, error) {
-		return connSweepPoint(modes[i/len(counts)], counts[i%len(counts)], h)
+	pts, err := points(r, len(modes)*len(counts), func(i int) (connPoint, error) {
+		return r.connSweepPoint(modes[i/len(counts)], counts[i%len(counts)], h)
 	})
 	if err != nil {
 		return nil, err
@@ -155,18 +101,18 @@ func QPSweep(scale float64) (*Report, error) {
 
 // connSweepPoint measures one (mode, connection count) point on a fresh
 // two-machine cluster with datacenter-class metadata caches.
-func connSweepPoint(mode string, conns int, h sim.Duration) (connPoint, error) {
+func (r *run) connSweepPoint(mode string, conns int, h sim.Duration) (connPoint, error) {
 	cfg := cluster.DefaultConfig()
 	cfg.Machines = 2
 	cfg.NIC.QPCacheEntries = 8192
 	cfg.NIC.MRCacheEntries = 8192
 	cfg.NIC.TranslationEntries = 8192
-	cl, err := newCluster(cfg)
+	cl, err := r.newCluster(cfg, r.opts.Faults)
 	if err != nil {
 		return connPoint{}, err
 	}
 	ctxA, ctxB := verbs.NewContext(cl.Machine(0)), verbs.NewContext(cl.Machine(1))
-	eng, ma, mb := cl.NewEngine(EngineWorkers()), cl.Machine(0), cl.Machine(1)
+	eng, ma, mb := cl.NewEngine(r.opts.EngineWorkers), cl.Machine(0), cl.Machine(1)
 
 	// Server-side receive slab, shared by every mode: the interesting state
 	// is requester-side, so receives land in one big reusable buffer.
@@ -186,11 +132,11 @@ func connSweepPoint(mode string, conns int, h sim.Duration) (connPoint, error) {
 	// the full per-connection metadata bill.
 	perConnMRs := func() ([]*verbs.MR, []verbs.SGE, error) {
 		span := conns * mem.PageSize
-		var r *mem.Region
+		var reg *mem.Region
 		if span <= 1<<20 {
-			r, err = cl.Machine(0).Alloc(1, span, 0)
+			reg, err = cl.Machine(0).Alloc(1, span, 0)
 		} else {
-			r, err = cl.Machine(0).Space().AllocSparse(1, span, 1<<20)
+			reg, err = cl.Machine(0).Space().AllocSparse(1, span, 1<<20)
 		}
 		if err != nil {
 			return nil, nil, err
@@ -198,8 +144,8 @@ func connSweepPoint(mode string, conns int, h sim.Duration) (connPoint, error) {
 		mrs := make([]*verbs.MR, conns)
 		sgl := make([]verbs.SGE, conns)
 		for c := range mrs {
-			mrs[c] = ctxA.MustRegisterMR(r)
-			sgl[c] = verbs.SGE{Addr: r.Addr() + mem.Addr(c*mem.PageSize), Length: 32, MR: mrs[c]}
+			mrs[c] = ctxA.MustRegisterMR(reg)
+			sgl[c] = verbs.SGE{Addr: reg.Addr() + mem.Addr(c*mem.PageSize), Length: 32, MR: mrs[c]}
 		}
 		return mrs, sgl, nil
 	}
@@ -264,10 +210,11 @@ func connSweepPoint(mode string, conns int, h sim.Duration) (connPoint, error) {
 		pt.physQPs, pt.mrs = conns, conns
 
 	case "pool", "proxy":
-		p := qpPoolSize
-		if p > conns {
-			p = conns
+		p := r.opts.QPPool
+		if p < 1 {
+			p = 64
 		}
+		p = min(p, conns)
 		pool := make([]*verbs.QP, p)
 		srq := verbs.NewSRQ(ctxB)
 		for i := range pool {

@@ -11,7 +11,7 @@ import (
 
 func mustRun(t *testing.T, id string, scale float64) *Report {
 	t.Helper()
-	r, err := Run(id, scale)
+	r, err := Run(id, scale, Options{})
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
@@ -461,7 +461,7 @@ func TestAdaptiveShape(t *testing.T) {
 
 func TestTxnShape(t *testing.T) {
 	r := mustRun(t, "txn", 0.05)
-	pcts := defaultTxnConflicts()
+	pcts := defaultTxnConflicts
 	for _, mode := range txnModes {
 		// Abort rate climbs monotonically with the conflict share, and the
 		// hot end actually aborts.

@@ -2,68 +2,22 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
-// The sweep pool width. Every Driver expresses its sweep as independent
-// point-closures; Sweep.Wait runs them on a shared worker pool of this
-// width. Simulated clusters are hermetic (no package-level state anywhere
-// under internal/sim, internal/cluster or internal/verbs), so points only
-// race on wall-clock, never on model state — results are bit-identical at
-// any width.
-var poolWidth atomic.Int64
-
-// SetParallelism fixes the sweep worker-pool width. n < 1 restores the
-// default (GOMAXPROCS).
-func SetParallelism(n int) {
-	if n < 1 {
-		n = 0
-	}
-	poolWidth.Store(int64(n))
-}
-
-// Parallelism reports the current sweep worker-pool width.
-func Parallelism() int {
-	if n := int(poolWidth.Load()); n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// engineWidth is the sharded-kernel worker count used inside a single
-// simulated experiment: where -parallel spreads independent sweep points
-// over cores, -engine-workers spreads the machines of one big cluster. The
-// kernel's shard merge is deterministic, so results are byte-identical at
-// any width (the property the golden-parity CI job pins at width 4).
-var engineWidth atomic.Int64
-
-// SetEngineWorkers fixes the sharded-kernel worker count for every engine
-// the drivers build. n < 1 restores the serial default (1).
-func SetEngineWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	engineWidth.Store(int64(n))
-}
-
-// EngineWorkers reports the current sharded-kernel worker count.
-func EngineWorkers() int {
-	if n := int(engineWidth.Load()); n > 0 {
-		return n
-	}
-	return 1
-}
-
-// Sweep collects independent measurement points and runs them on the shared
-// worker pool. Closures must be independent: each builds its own cluster
-// and writes only to slots the caller gave it. Wait preserves determinism
-// by reporting the first error in registration order, regardless of which
-// worker hit it first; callers then assemble figures sequentially in the
-// original loop order, so rendered reports are byte-identical at any pool
-// width.
+// Sweep collects independent measurement points and runs them on a worker
+// pool of its width (< 2 runs them in order on the calling goroutine).
+// Simulated clusters are hermetic (no package-level state anywhere under
+// internal/), so points only race on wall-clock, never on model state:
+// results are bit-identical at any width. Closures must be independent:
+// each builds its own cluster and writes only to slots the caller gave it.
+// Wait preserves determinism by reporting the first error in registration
+// order, regardless of which worker hit it first; callers then assemble
+// figures sequentially in the original loop order, so rendered reports are
+// byte-identical at any pool width.
 type Sweep struct {
+	width int
 	tasks []func() error
 }
 
@@ -75,10 +29,7 @@ func (s *Sweep) Go(fn func() error) { s.tasks = append(s.tasks, fn) }
 func (s *Sweep) Wait() error {
 	tasks := s.tasks
 	s.tasks = nil
-	n := Parallelism()
-	if n > len(tasks) {
-		n = len(tasks)
-	}
+	n := min(s.width, len(tasks))
 	if n <= 1 {
 		for _, fn := range tasks {
 			if err := runPoint(fn); err != nil {
@@ -124,13 +75,12 @@ func runPoint(fn func() error) (err error) {
 	return fn()
 }
 
-// points runs fn for every index in [0, n) on the shared pool and returns
-// the results in index order.
-func points[T any](n int, fn func(i int) (T, error)) ([]T, error) {
+// points runs fn for every index in [0, n) on the run's sweep pool and
+// returns the results in index order.
+func points[T any](r *run, n int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
-	var sw Sweep
+	sw := Sweep{width: r.opts.Parallel}
 	for i := 0; i < n; i++ {
-		i := i
 		sw.Go(func() error {
 			v, err := fn(i)
 			out[i] = v

@@ -10,11 +10,10 @@ import (
 )
 
 func TestSweepRunsAllPoints(t *testing.T) {
-	defer SetParallelism(0)
 	for _, width := range []int{1, 4} {
-		SetParallelism(width)
+		r := &run{opts: Options{Parallel: width}}
 		var ran atomic.Int64
-		res, err := points(100, func(i int) (int, error) {
+		res, err := points(r, 100, func(i int) (int, error) {
 			ran.Add(1)
 			return i * i, nil
 		})
@@ -33,12 +32,11 @@ func TestSweepRunsAllPoints(t *testing.T) {
 }
 
 func TestSweepFirstErrorByRegistrationOrder(t *testing.T) {
-	defer SetParallelism(0)
 	// Points 3 and 7 fail; regardless of pool width or worker scheduling,
 	// the reported error must be point 3's.
 	for _, width := range []int{1, 4} {
-		SetParallelism(width)
-		_, err := points(10, func(i int) (int, error) {
+		r := &run{opts: Options{Parallel: width}}
+		_, err := points(r, 10, func(i int) (int, error) {
 			if i == 3 || i == 7 {
 				return 0, fmt.Errorf("point %d failed", i)
 			}
@@ -51,10 +49,9 @@ func TestSweepFirstErrorByRegistrationOrder(t *testing.T) {
 }
 
 func TestSweepRecoversPanics(t *testing.T) {
-	defer SetParallelism(0)
 	for _, width := range []int{1, 4} {
-		SetParallelism(width)
-		_, err := points(4, func(i int) (int, error) {
+		r := &run{opts: Options{Parallel: width}}
+		_, err := points(r, 4, func(i int) (int, error) {
 			if i == 2 {
 				panic("post failed")
 			}
@@ -88,9 +85,8 @@ func TestHarnessDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two full experiments three times")
 	}
-	defer SetParallelism(0)
-	render := func(id string) string {
-		report, err := Run(id, 0.02)
+	render := func(id string, parallel int) string {
+		report, err := Run(id, 0.02, Options{Parallel: parallel})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,14 +95,12 @@ func TestHarnessDeterminism(t *testing.T) {
 		return buf.String()
 	}
 	for _, id := range []string{"fig3", "fig12"} {
-		SetParallelism(1)
-		first := render(id)
-		second := render(id)
+		first := render(id, 1)
+		second := render(id, 1)
 		if first != second {
 			t.Fatalf("%s: two sequential runs differ", id)
 		}
-		SetParallelism(4)
-		parallel := render(id)
+		parallel := render(id, 4)
 		if parallel != first {
 			t.Fatalf("%s: parallel run differs from sequential", id)
 		}

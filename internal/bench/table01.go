@@ -8,8 +8,6 @@ import (
 	"rdmasem/internal/stats"
 )
 
-func init() { register("table1", Table01StrategyComparison) }
-
 // Table01StrategyComparison reproduces Table I, deriving the performance and
 // scalability verdicts from measurements instead of asserting them:
 //
@@ -20,7 +18,7 @@ func init() { register("table1", Table01StrategyComparison) }
 //     payload value (SGL's "good in a small range");
 //   - programmability is inherent to the mechanism and quoted from the
 //     paper.
-func Table01StrategyComparison(scale float64) (*Report, error) {
+func (r *run) Table01StrategyComparison(scale float64) (*Report, error) {
 	h := horizon(scale, 5*sim.Millisecond)
 	tb := stats.NewTable("Table I: comparisons between three vector IO mechanisms (measured)")
 	tb.Row("Type", "Programmability", "Perf (MOPS@32Bx16)", "Batch 1->32", "Per-thread 1->8", "Half-rate payload")
@@ -46,9 +44,9 @@ func Table01StrategyComparison(scale float64) (*Report, error) {
 	for _, size := range halfSizes {
 		cells = append(cells, struct{ size, batch, threads int }{size, 16, 1})
 	}
-	ms, err := points(len(strategies)*len(cells), func(i int) (float64, error) {
+	ms, err := points(r, len(strategies)*len(cells), func(i int) (float64, error) {
 		c := cells[i%len(cells)]
-		return batchThroughput(strategies[i/len(cells)], c.size, c.batch, c.threads, h)
+		return r.batchThroughput(strategies[i/len(cells)], c.size, c.batch, c.threads, h)
 	})
 	if err != nil {
 		return nil, err

@@ -10,14 +10,9 @@ import (
 	"rdmasem/internal/verbs"
 )
 
-func init() {
-	register("table2", Table02LocalSockets)
-	register("table3", Table03RemoteSockets)
-}
-
 // Table02LocalSockets reproduces Table II: MLC-style idle latency and
 // single-stream bandwidth for own-socket vs cross-socket DRAM access.
-func Table02LocalSockets(scale float64) (*Report, error) {
+func (r *run) Table02LocalSockets(scale float64) (*Report, error) {
 	_ = scale
 	tp := topo.DefaultParams()
 	tb := stats.NewTable("Table II: throughput/latency of local inter-socket access")
@@ -36,9 +31,9 @@ func Table02LocalSockets(scale float64) (*Report, error) {
 // placementCase measures read and write latency (sync) and throughput
 // (window-pipelined) for one placement of {requester core, requester buffer,
 // responder port binding, responder memory} relative to the NIC sockets.
-func placementCase(lCoreAlt, lMemAlt, rPortAlt, rMemAlt bool, h sim.Duration) (rLat, rThr, wLat, wThr float64, err error) {
+func (r *run) placementCase(lCoreAlt, lMemAlt, rPortAlt, rMemAlt bool, h sim.Duration) (rLat, rThr, wLat, wThr float64, err error) {
 	run := func(op verbs.Opcode, throughput bool) (float64, error) {
-		env, err := newPair(1 << 22)
+		env, err := r.newPair(1 << 22)
 		if err != nil {
 			return 0, err
 		}
@@ -113,7 +108,7 @@ func placementCase(lCoreAlt, lMemAlt, rPortAlt, rMemAlt bool, h sim.Duration) (r
 // {own,alt} core x {own,alt} memory on the requester side against the same
 // on the responder side, each cell holding read lat/tput over write
 // lat/tput.
-func Table03RemoteSockets(scale float64) (*Report, error) {
+func (r *run) Table03RemoteSockets(scale float64) (*Report, error) {
 	h := horizon(scale, 5*sim.Millisecond)
 	tb := stats.NewTable("Table III: throughput and latency of remote inter-socket access (read us/MOPS over write us/MOPS)")
 	tb.Row("local \\ remote", "port1+matched mem", "port1+alt mem", "port0+matched mem", "port0+alt mem")
@@ -129,9 +124,9 @@ func Table03RemoteSockets(scale float64) (*Report, error) {
 		}
 	}
 	type caseResult struct{ rLat, rThr, wLat, wThr float64 }
-	res, err := points(len(cases), func(i int) (caseResult, error) {
+	res, err := points(r, len(cases), func(i int) (caseResult, error) {
 		c := cases[i]
-		rLat, rThr, wLat, wThr, err := placementCase(c.lc, c.lm, c.rp, c.rm, h)
+		rLat, rThr, wLat, wThr, err := r.placementCase(c.lc, c.lm, c.rp, c.rm, h)
 		return caseResult{rLat, rThr, wLat, wThr}, err
 	})
 	if err != nil {
@@ -139,20 +134,19 @@ func Table03RemoteSockets(scale float64) (*Report, error) {
 	}
 	var bestW, worstW float64
 	for i, c := range cases {
-		r := res[i]
 		if !c.lc && !c.lm && !c.rp && !c.rm {
-			bestW = r.wThr
+			bestW = res[i].wThr
 		}
 		if c.lc && c.lm && c.rp && c.rm {
-			worstW = r.wThr
+			worstW = res[i].wThr
 		}
 	}
 	for li := 0; li < 4; li++ {
 		lc, lm := li >= 2, li%2 == 1
 		cells := []string{pick(lc, "alt core", "own core") + "+" + pick(lm, "alt mem", "own mem")}
 		for ri := 0; ri < 4; ri++ {
-			r := res[li*4+ri]
-			cells = append(cells, fmt.Sprintf("%.2f/%.2f %.2f/%.2f", r.rLat, r.rThr, r.wLat, r.wThr))
+			c := res[li*4+ri]
+			cells = append(cells, fmt.Sprintf("%.2f/%.2f %.2f/%.2f", c.rLat, c.rThr, c.wLat, c.wThr))
 		}
 		tb.Row(cells...)
 	}

@@ -18,23 +18,16 @@ func TestTelemetryPassiveAcrossAllExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep")
 	}
-	reg := telemetry.NewRegistry()
 	tl := telemetry.NewTimeline(0)
-	SetMetrics(reg)
-	SetTimeline(tl)
-	defer func() {
-		TakeMetrics() // drain the live-cluster list
-		SetMetrics(nil)
-		SetTimeline(nil)
-	}()
-
+	opts := Options{Metrics: telemetry.NewRegistry(), Timeline: tl}
+	var collected bool
 	for _, id := range List() {
-		id := id
 		t.Run(id, func(t *testing.T) {
-			rep, err := Run(id, goldenScale)
+			rep, err := Run(id, goldenScale, opts)
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}
+			collected = collected || !rep.Metrics.Empty()
 			var buf bytes.Buffer
 			rep.Render(&buf)
 			want, err := os.ReadFile(filepath.Join("testdata", "golden", id+".txt"))
@@ -49,8 +42,7 @@ func TestTelemetryPassiveAcrossAllExperiments(t *testing.T) {
 
 	// The sweep must actually have fed the sinks, or the parity above proved
 	// nothing.
-	snap := TakeMetrics()
-	if snap.Empty() {
+	if !collected {
 		t.Fatal("registry collected nothing across the whole sweep")
 	}
 	if tl.Len() == 0 {
@@ -58,18 +50,16 @@ func TestTelemetryPassiveAcrossAllExperiments(t *testing.T) {
 	}
 }
 
-// TestTakeMetricsFoldsAndDrains covers the bench-level lifecycle: clusters
-// built during a run are tracked, folded exactly once, and the registry is
-// empty after TakeMetrics.
-func TestTakeMetricsFoldsAndDrains(t *testing.T) {
+// TestRunFoldsMetricsAndDrains covers the bench-level lifecycle: clusters
+// built during a run are recorded, folded exactly once into the report's
+// snapshot, and the registry is empty after Run returns.
+func TestRunFoldsMetricsAndDrains(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	SetMetrics(reg)
-	defer SetMetrics(nil)
-
-	if _, err := Run("breakdown", goldenScale); err != nil {
+	rep, err := Run("breakdown", goldenScale, Options{Metrics: reg})
+	if err != nil {
 		t.Fatal(err)
 	}
-	snap := TakeMetrics()
+	snap := rep.Metrics
 	if snap.Empty() {
 		t.Fatal("snapshot empty after an instrumented run")
 	}
@@ -85,7 +75,7 @@ func TestTakeMetricsFoldsAndDrains(t *testing.T) {
 	if !sawCounter {
 		t.Fatal("NIC doorbell counters were not folded into the snapshot")
 	}
-	if !TakeMetrics().Empty() {
-		t.Fatal("second TakeMetrics must be empty (drained)")
+	if !reg.Take().Empty() {
+		t.Fatal("registry must be drained after Run")
 	}
 }

@@ -16,43 +16,35 @@ import (
 	"rdmasem/internal/workload"
 )
 
-func init() { register("txn", TxnConflicts) }
-
 // The fabric arms the txn experiment compares. Order is the plotting order.
 var txnModes = []string{"lossless", "lossy"}
 
 // defaultTxnConflicts is the swept share of transactions aimed at the hot
 // key set, in percent.
-func defaultTxnConflicts() []int { return []int{0, 25, 50, 75, 100} }
+var defaultTxnConflicts = []int{0, 25, 50, 75, 100}
 
-// txnConflicts is the active conflict sweep (set via -txn-conflicts).
-var txnConflicts = defaultTxnConflicts()
-
-// SetTxnConflicts replaces the txn experiment's conflict sweep with the
-// given spec: comma-separated percentages in [0,100], ascending, e.g.
-// "0,50,100". An empty spec restores the default sweep. Call before Run,
-// never during one.
-func SetTxnConflicts(spec string) error {
+// ParseTxnConflicts parses a txn conflict sweep: comma-separated
+// percentages in [0,100], strictly ascending, e.g. "0,50,100". An empty
+// spec selects the default sweep (nil).
+func ParseTxnConflicts(spec string) ([]int, error) {
 	if spec == "" {
-		txnConflicts = defaultTxnConflicts()
-		return nil
+		return nil, nil
 	}
 	var pcts []int
 	for _, part := range strings.Split(spec, ",") {
 		p, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil {
-			return fmt.Errorf("bench: conflict share %q: %v", part, err)
+			return nil, fmt.Errorf("bench: conflict share %q: %v", part, err)
 		}
 		if p < 0 || p > 100 {
-			return fmt.Errorf("bench: conflict share %d%% outside [0,100]", p)
+			return nil, fmt.Errorf("bench: conflict share %d%% outside [0,100]", p)
 		}
 		if len(pcts) > 0 && p <= pcts[len(pcts)-1] {
-			return fmt.Errorf("bench: conflict shares must be strictly ascending, got %q", spec)
+			return nil, fmt.Errorf("bench: conflict shares must be strictly ascending, got %q", spec)
 		}
 		pcts = append(pcts, p)
 	}
-	txnConflicts = pcts
-	return nil
+	return pcts, nil
 }
 
 // txnResult is one (fabric mode, conflict share) measurement.
@@ -85,14 +77,14 @@ func txnFaultPlanFor(mode string) *fabric.FaultPlan {
 // repeats the sweep over a 1%-drop fabric, where retransmission latency
 // stretches every phase (and with it the conflict window), so lossy
 // throughput stays at or below lossless at every point.
-func TxnConflicts(scale float64) (*Report, error) {
-	pcts := txnConflicts
+func (r *run) TxnConflicts(scale float64) (*Report, error) {
+	pcts := r.opts.TxnConflicts
 	if len(pcts) == 0 {
-		return nil, fmt.Errorf("bench: no conflict shares selected")
+		pcts = defaultTxnConflicts
 	}
 	h := horizon(scale, 2*sim.Millisecond)
-	pts, err := points(len(txnModes)*len(pcts), func(i int) (txnResult, error) {
-		return txnConflictPoint(txnModes[i/len(pcts)], pcts[i%len(pcts)], h)
+	pts, err := points(r, len(txnModes)*len(pcts), func(i int) (txnResult, error) {
+		return r.txnConflictPoint(txnModes[i/len(pcts)], pcts[i%len(pcts)], h)
 	})
 	if err != nil {
 		return nil, err
@@ -138,22 +130,15 @@ func TxnConflicts(scale float64) (*Report, error) {
 // txnConflictPoint measures one (fabric mode, conflict share) point: its own
 // cluster, one store on machine 0, eight split-phase clients spread over the
 // other machines.
-func txnConflictPoint(mode string, pct int, h sim.Duration) (txnResult, error) {
+func (r *run) txnConflictPoint(mode string, pct int, h sim.Duration) (txnResult, error) {
 	const (
 		keySpace = 1 << 12
 		hotKeys  = 4
 		clients  = 8
 	)
-	cfg := cluster.DefaultConfig()
-	cfg.Faults = txnFaultPlanFor(mode)
-	cfg.Telemetry = metricsReg
-	cfg.Timeline = timelineRec
-	cl, err := cluster.New(cfg)
+	cl, err := r.newCluster(cluster.DefaultConfig(), txnFaultPlanFor(mode))
 	if err != nil {
 		return txnResult{}, err
-	}
-	if metricsReg != nil {
-		trackCluster(cl)
 	}
 	store, err := txn.NewStore(cl.Machine(0), txn.Config{
 		KeySpace: keySpace, ValueSize: 64, MaxWrites: 2,
@@ -161,7 +146,7 @@ func txnConflictPoint(mode string, pct int, h sim.Duration) (txnResult, error) {
 	if err != nil {
 		return txnResult{}, err
 	}
-	eng := cl.NewEngine(EngineWorkers())
+	eng := cl.NewEngine(r.opts.EngineWorkers)
 	tclients := make([]*txn.Client, clients)
 	for i := 0; i < clients; i++ {
 		m := cl.Machine(1 + i%7)
@@ -224,16 +209,16 @@ func txnConflictPoint(mode string, pct int, h sim.Duration) (txnResult, error) {
 	}
 	eng.Run(h)
 
-	var r txnResult
+	var res txnResult
 	for _, c := range tclients {
 		st := c.Stats()
-		r.stats.Commits += st.Commits
-		r.stats.Aborts += st.Aborts
-		r.stats.Retries += st.Retries
-		r.stats.ReadRetries += st.ReadRetries
-		r.stats.Strands += st.Strands
+		res.stats.Commits += st.Commits
+		res.stats.Aborts += st.Aborts
+		res.stats.Retries += st.Retries
+		res.stats.ReadRetries += st.ReadRetries
+		res.stats.Strands += st.Strands
 	}
-	r.attempts = r.stats.Commits + r.stats.Aborts
-	r.mops = float64(r.stats.Commits) * float64(sim.Microsecond) / float64(h)
-	return r, nil
+	res.attempts = res.stats.Commits + res.stats.Aborts
+	res.mops = float64(res.stats.Commits) * float64(sim.Microsecond) / float64(h)
+	return res, nil
 }

@@ -11,18 +11,16 @@ import (
 	"rdmasem/internal/workload"
 )
 
-func init() { register("ycsb", YCSBMixed) }
-
 // YCSBMixed extends the paper's 100%-write hashtable evaluation (Fig 12)
 // with YCSB-style mixed read/write ratios: A (50/50), B (95% reads) and the
 // write-only workload the paper used, across the optimization levels.
-func YCSBMixed(scale float64) (*Report, error) {
+func (r *run) YCSBMixed(scale float64) (*Report, error) {
 	fig := stats.NewFigure("Extension: hashtable throughput vs read fraction (8 front-ends)", "read%", "throughput (MOPS)")
 	h := horizon(scale, 5*sim.Millisecond)
 	levels := []hashtable.Level{hashtable.NUMA, hashtable.Reorder}
 	readPcts := []int{0, 50, 95}
-	ms, err := points(len(levels)*len(readPcts), func(i int) (float64, error) {
-		return ycsbMOPS(levels[i/len(readPcts)], readPcts[i%len(readPcts)], h)
+	ms, err := points(r, len(levels)*len(readPcts), func(i int) (float64, error) {
+		return r.ycsbMOPS(levels[i/len(readPcts)], readPcts[i%len(readPcts)], h)
 	})
 	if err != nil {
 		return nil, err
@@ -44,10 +42,10 @@ func YCSBMixed(scale float64) (*Report, error) {
 
 // ycsbMOPS runs one optimization level at one read percentage on its own
 // cluster and returns the aggregate throughput.
-func ycsbMOPS(level hashtable.Level, readPct int, h sim.Duration) (float64, error) {
+func (r *run) ycsbMOPS(level hashtable.Level, readPct int, h sim.Duration) (float64, error) {
 	const keySpace = 1 << 14
 	const frontEnds = 8
-	cl, err := newCluster(cluster.DefaultConfig())
+	cl, err := r.newCluster(cluster.DefaultConfig(), r.opts.Faults)
 	if err != nil {
 		return 0, err
 	}
@@ -66,7 +64,7 @@ func ycsbMOPS(level hashtable.Level, readPct int, h sim.Duration) (float64, erro
 	if err != nil {
 		return 0, err
 	}
-	eng := cl.NewEngine(EngineWorkers())
+	eng := cl.NewEngine(r.opts.EngineWorkers)
 	for i := 0; i < frontEnds; i++ {
 		m := cl.Machine(1 + (i/2)%7)
 		fe, err := hashtable.NewFrontEnd(i, m, topo.SocketID(i%2), backend)

@@ -7,7 +7,7 @@
 //     protocol: CPU gathers into a staging buffer, one WR), Doorbell (one
 //     MMIO rings a list of WRs) and SGL (one WR whose scatter/gather list
 //     the NIC walks) — behind a common Batcher interface, plus Table I's
-//     guidance codified in Advisor.
+//     guidance codified in Advise.
 //   - IO consolidation (Section III-C): Consolidator, a remote burst buffer
 //     that delays small writes to the same aligned block until θ requests
 //     accumulate or a lease expires, then issues one block write.
@@ -19,7 +19,6 @@
 //     exponential backoff), LocalLock and RPCLock baselines, and the
 //     corresponding Sequencer trio built on fetch-and-add.
 //
-// Beyond the paper it adds Heap (a client-side allocator over a remote MR),
-// UDRPCServer (the datagram RPC design III-E cites), and Plan (the paper's
-// guidelines as an executable recommendation engine).
+// Beyond the paper it adds UDRPCServer (the datagram RPC design III-E
+// cites).
 package core

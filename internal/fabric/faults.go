@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"rdmasem/internal/sim"
 )
@@ -360,7 +359,6 @@ func (f *Fabric) Deliver(now sim.Time, from, to *Endpoint, payload int) (sim.Tim
 		panic("fabric: negative payload")
 	}
 	from.faults.Segments++
-	telemetry.segments.Add(1)
 	wire := payload + f.params.FrameOverhead
 	txStart, _ := from.tx.Transfer(now, wire)
 	arrival := txStart + f.params.Propagation + f.params.SwitchLatency
@@ -373,12 +371,10 @@ func (f *Fabric) Deliver(now sim.Time, from, to *Endpoint, payload int) (sim.Tim
 		// left the port before the loss), hence the Transfer above.
 		if plan.MachineDown(from.machine, now) || plan.MachineDown(to.machine, arrival) {
 			from.faults.CrashDrops++
-			telemetry.crashDrops.Add(1)
 			return arrival, Dropped
 		}
 		if plan.linkDown(from.id, now) || plan.linkDown(to.id, arrival) {
 			from.faults.FlapDrops++
-			telemetry.flapDrops.Add(1)
 			return arrival, Dropped
 		}
 	}
@@ -388,15 +384,12 @@ func (f *Fabric) Deliver(now sim.Time, from, to *Endpoint, payload int) (sim.Tim
 	case Dropped:
 		// Lost inside the switch: nothing merges into the destination inbox.
 		from.faults.Drops++
-		telemetry.drops.Add(1)
 		return arrival, Dropped
 	case Corrupted:
 		from.faults.Corrupts++
-		telemetry.corrupts.Add(1)
 	default:
 		if extra > 0 {
 			from.faults.Delays++
-			telemetry.delays.Add(1)
 			arrival += extra
 		}
 	}
@@ -416,40 +409,21 @@ func (f *Fabric) FaultsEnabled() bool { return f.params.Faults != nil }
 func (f *Fabric) FaultStats() FaultStats {
 	var s FaultStats
 	for _, e := range f.endpoints {
-		s.Segments += e.faults.Segments
-		s.Drops += e.faults.Drops
-		s.Corrupts += e.faults.Corrupts
-		s.Delays += e.faults.Delays
-		s.FlapDrops += e.faults.FlapDrops
-		s.CrashDrops += e.faults.CrashDrops
+		s.Add(e.faults)
 	}
 	return s
+}
+
+// Add accumulates o into s.
+func (s *FaultStats) Add(o FaultStats) {
+	s.Segments += o.Segments
+	s.Drops += o.Drops
+	s.Corrupts += o.Corrupts
+	s.Delays += o.Delays
+	s.FlapDrops += o.FlapDrops
+	s.CrashDrops += o.CrashDrops
 }
 
 // FaultStats returns this endpoint's share of the fabric fault tallies
 // (faults drawn on segments this port sent).
 func (e *Endpoint) FaultStats() FaultStats { return e.faults }
-
-// telemetry is cross-fabric, process-wide fault accounting for CLI
-// reporting. It is monotonic and atomic: it never feeds back into the
-// simulation, so it cannot perturb results at any sweep-pool width.
-var telemetry struct {
-	segments   atomic.Uint64
-	drops      atomic.Uint64
-	corrupts   atomic.Uint64
-	delays     atomic.Uint64
-	flapDrops  atomic.Uint64
-	crashDrops atomic.Uint64
-}
-
-// TakeTelemetry snapshots and zeroes the process-wide fault tallies.
-func TakeTelemetry() FaultStats {
-	return FaultStats{
-		Segments:   telemetry.segments.Swap(0),
-		Drops:      telemetry.drops.Swap(0),
-		Corrupts:   telemetry.corrupts.Swap(0),
-		Delays:     telemetry.delays.Swap(0),
-		FlapDrops:  telemetry.flapDrops.Swap(0),
-		CrashDrops: telemetry.crashDrops.Swap(0),
-	}
-}

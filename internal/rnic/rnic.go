@@ -86,6 +86,19 @@ type RelCounters struct {
 	Reconnects       uint64 // QPs cycled back to READY via Reconnect
 }
 
+// Add accumulates o into c.
+func (c *RelCounters) Add(o RelCounters) {
+	c.Segments += o.Segments
+	c.Retransmits += o.Retransmits
+	c.AckTimeouts += o.AckTimeouts
+	c.NaksReceived += o.NaksReceived
+	c.RNRNaks += o.RNRNaks
+	c.RetriesExhausted += o.RetriesExhausted
+	c.FlushedWRs += o.FlushedWRs
+	c.SilentDrops += o.SilentDrops
+	c.Reconnects += o.Reconnects
+}
+
 // Rel returns the device's mutable reliability counters; the verbs layer
 // bumps them as segments move.
 func (n *NIC) Rel() *RelCounters { return &n.counters.Rel }

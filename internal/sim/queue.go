@@ -3,10 +3,10 @@ package sim
 // Typed scheduler queues for the sharded event kernel. All three are
 // hand-rolled binary heaps: the generic container/heap funnels every Push and
 // Pop through interface{}, which boxes each completion Time onto the heap —
-// one allocation per posted operation. After PR 4 drove the op pipeline to
-// zero allocations, that boxing plus the Fix churn of one global client heap
-// was the dominant scheduler cost in BENCH_hotpath.json; these queues remove
-// both (see BENCH_engine.json for the before/after record).
+// one allocation per posted operation. Once the op pipeline allocated
+// nothing, that boxing plus the Fix churn of one global client heap was the
+// dominant scheduler cost; these queues remove both (the host-cost benchmark
+// in perfbench/ reports the sim layer's share).
 
 // timeHeap is a typed min-heap of completion times: one per client, holding
 // the client's outstanding-operation window. Zero value is an empty heap.

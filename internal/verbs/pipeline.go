@@ -503,7 +503,6 @@ func executeOne(src, dst *qpState, t sim.Time, wr *SendWR) (Completion, bool, er
 			if v != fabric.Delivered {
 				src.stats.SilentDrops++
 				nic.Rel().SilentDrops++
-				relTelemetry.silentDrops.Add(1)
 				src.observe(StageArrived, arrive)
 				return Completion{Opcode: OpSend, Done: cqe.Time, Bytes: total}, true, nil
 			}

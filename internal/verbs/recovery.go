@@ -88,7 +88,6 @@ func (q *QP) Reconnect(now sim.Time) (sim.Time, error) {
 	q.peer.resync()
 	q.stats.Reconnects++
 	q.ctx.machine.NIC().Rel().Reconnects++
-	relTelemetry.reconnects.Add(1)
 	return t, nil
 }
 

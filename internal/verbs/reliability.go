@@ -27,7 +27,6 @@ package verbs
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"rdmasem/internal/fabric"
 	"rdmasem/internal/sim"
@@ -150,45 +149,6 @@ func (s *qpState) SetRetryPolicy(p RetryPolicy) {
 // IBV_QPS_ERR, used to drain a connection). Subsequent posts flush.
 func (s *qpState) ForceError() { s.state = StateError }
 
-// relTelemetry is process-wide reliability accounting for CLI reporting.
-// Monotonic and atomic; never read by the simulation itself.
-var relTelemetry struct {
-	segments    atomic.Uint64
-	retransmits atomic.Uint64
-	timeouts    atomic.Uint64
-	naks        atomic.Uint64
-	rnrNaks     atomic.Uint64
-	exhausted   atomic.Uint64
-	silentDrops atomic.Uint64
-	reconnects  atomic.Uint64
-}
-
-// RelTelemetry is a snapshot of cross-cluster reliability totals.
-type RelTelemetry struct {
-	Segments         uint64
-	Retransmits      uint64
-	AckTimeouts      uint64
-	NaksReceived     uint64
-	RNRNaks          uint64
-	RetriesExhausted uint64
-	SilentDrops      uint64
-	Reconnects       uint64
-}
-
-// TakeRelTelemetry snapshots and zeroes the process-wide reliability totals.
-func TakeRelTelemetry() RelTelemetry {
-	return RelTelemetry{
-		Segments:         relTelemetry.segments.Swap(0),
-		Retransmits:      relTelemetry.retransmits.Swap(0),
-		AckTimeouts:      relTelemetry.timeouts.Swap(0),
-		NaksReceived:     relTelemetry.naks.Swap(0),
-		RNRNaks:          relTelemetry.rnrNaks.Swap(0),
-		RetriesExhausted: relTelemetry.exhausted.Swap(0),
-		SilentDrops:      relTelemetry.silentDrops.Swap(0),
-		Reconnects:       relTelemetry.reconnects.Swap(0),
-	}
-}
-
 // segmentSizes splits outbound payload bytes into PathMTU segments. Every
 // message is at least one packet (READ requests and 0-byte ACK-only wires
 // still put a frame on the wire). The result lives in the given QP scratch
@@ -217,13 +177,11 @@ func segmentSizes(scratch *opScratch, outbound int, resp bool) []int {
 // noteSegment tallies one wire segment at the requester.
 func (s *qpState) noteSegment(retransmit bool) {
 	s.stats.Segments++
-	relTelemetry.segments.Add(1)
 	rel := s.ctx.machine.NIC().Rel()
 	rel.Segments++
 	if retransmit {
 		s.stats.Retransmits++
 		rel.Retransmits++
-		relTelemetry.retransmits.Add(1)
 	}
 }
 
@@ -271,7 +229,6 @@ func executeReliable(src, dst *qpState, emit sim.Time, wr *SendWR, total, outbou
 		src.state = StateError
 		src.stats.RetriesExhausted++
 		nic.Rel().RetriesExhausted++
-		relTelemetry.exhausted.Add(1)
 		// Remember whether the effects landed, for exactly-once replay.
 		src.failedApplied = applied
 		return at, old, status, nil
@@ -284,7 +241,6 @@ func executeReliable(src, dst *qpState, emit sim.Time, wr *SendWR, total, outbou
 		consecTimeouts++
 		src.stats.AckTimeouts++
 		nic.Rel().AckTimeouts++
-		relTelemetry.timeouts.Add(1)
 		return last + pol.AckTimeout<<shift
 	}
 
@@ -337,7 +293,6 @@ func executeReliable(src, dst *qpState, emit sim.Time, wr *SendWR, total, outbou
 					if nv == fabric.Delivered {
 						src.stats.RNRNaks++
 						nic.Rel().RNRNaks++
-						relTelemetry.rnrNaks.Add(1)
 						t = nArr + pol.RNRTimer
 					} else {
 						// Lost RNR NAK: recover by timeout like a lost ACK.
@@ -386,7 +341,6 @@ func executeReliable(src, dst *qpState, emit sim.Time, wr *SendWR, total, outbou
 			consecTimeouts = 0
 			src.stats.NaksReceived++
 			nic.Rel().NaksReceived++
-			relTelemetry.naks.Add(1)
 			t = nakTime
 			firstUnacked = lost
 		} else {
@@ -574,7 +528,6 @@ func executeUCLossy(src, dst *qpState, emit sim.Time, wr *SendWR, total, outboun
 	if !intact {
 		src.stats.SilentDrops++
 		m.NIC().Rel().SilentDrops++
-		relTelemetry.silentDrops.Add(1)
 	}
 
 	switch wr.Opcode {
@@ -594,7 +547,6 @@ func executeUCLossy(src, dst *qpState, emit sim.Time, wr *SendWR, total, outboun
 				// No posted receive: the datagram is silently discarded.
 				src.stats.SilentDrops++
 				m.NIC().Rel().SilentDrops++
-				relTelemetry.silentDrops.Add(1)
 			}
 		}
 	}
