@@ -35,13 +35,20 @@ package adaptive
 import (
 	"math/bits"
 
-	"rdmasem/internal/cluster"
 	"rdmasem/internal/core"
 	"rdmasem/internal/sim"
 	"rdmasem/internal/verbs"
 )
 
-// Defaults for zero-valued cluster.AdaptiveParams fields.
+// Params tunes one controller.
+type Params struct {
+	Epoch  sim.Duration // decision interval in virtual time (0 = DefaultEpoch)
+	Shadow bool         // observe and decide but never retune (passive mode)
+}
+
+// Controller constants: the default decision interval, the consecutive
+// drifted epochs before a re-probe, the cooldown epochs after a switch, and
+// the doorbell list depth ceiling.
 const (
 	DefaultEpoch    = 20 * sim.Microsecond
 	DefaultConfirm  = 2
@@ -94,7 +101,7 @@ type tuner struct {
 // close feeds one epoch's measurements into the state machine and returns
 // the candidate to run next plus whether that is a change. Epochs with no
 // ops on the tuner's path freeze it entirely.
-func (t *tuner) close(ops, lat int64, fpA, fpB int, confirm, dwell int) (int, bool) {
+func (t *tuner) close(ops, lat int64, fpA, fpB int) (int, bool) {
 	if ops == 0 {
 		return t.cand, false
 	}
@@ -123,7 +130,7 @@ func (t *tuner) close(ops, lat int64, fpA, fpB int, confirm, dwell int) (int, bo
 		t.state = stLocked
 		t.fpA, t.fpB = fpA, fpB
 		t.drift = 0
-		t.dwell = dwell
+		t.dwell = DefaultDwell
 		return best, changed
 	default: // stLocked
 		if t.dwell > 0 {
@@ -135,7 +142,7 @@ func (t *tuner) close(ops, lat int64, fpA, fpB int, confirm, dwell int) (int, bo
 		} else {
 			t.drift = 0
 		}
-		if t.drift >= confirm {
+		if t.drift >= DefaultConfirm {
 			t.state = stProbe
 			for i := range t.scored {
 				t.scored[i] = false
@@ -153,7 +160,7 @@ func (t *tuner) close(ops, lat int64, fpA, fpB int, confirm, dwell int) (int, bo
 // runtime's op path (advance/noteBatch/noteSmall) and, passively, from the
 // verbs post hook (ObservePost). It allocates only at construction.
 type Controller struct {
-	params  cluster.AdaptiveParams
+	params  Params
 	qp      *verbs.QP
 	batcher *core.Batcher
 	cons    *core.Consolidator
@@ -198,25 +205,16 @@ type Controller struct {
 // three may be nil; the corresponding knob is then decided but not applied.
 // Unless params.Shadow is set, construction applies the initial probe
 // candidate so the first epoch measures it.
-func NewController(params cluster.AdaptiveParams, qp *verbs.QP, b *core.Batcher, cons *core.Consolidator) *Controller {
+func NewController(params Params, qp *verbs.QP, b *core.Batcher, cons *core.Consolidator) *Controller {
 	if params.Epoch <= 0 {
 		params.Epoch = DefaultEpoch
-	}
-	if params.Confirm <= 0 {
-		params.Confirm = DefaultConfirm
-	}
-	if params.Dwell <= 0 {
-		params.Dwell = DefaultDwell
-	}
-	if params.MaxDepth <= 0 {
-		params.MaxDepth = DefaultMaxDepth
 	}
 	c := &Controller{
 		params:       params,
 		qp:           qp,
 		batcher:      b,
 		cons:         cons,
-		depth:        params.MaxDepth,
+		depth:        DefaultMaxDepth,
 		theta:        16,
 		smallLastBlk: -1,
 		recs:         make([]Record, 0, maxRecords),
@@ -242,9 +240,6 @@ func NewController(params cluster.AdaptiveParams, qp *verbs.QP, b *core.Batcher,
 	}
 	return c
 }
-
-// Params returns the resolved (defaults filled in) parameters.
-func (c *Controller) Params() cluster.AdaptiveParams { return c.params }
 
 // Records returns the decision log: one entry per epoch that changed any
 // knob. The slice aliases the controller's preallocated buffer.
@@ -343,8 +338,7 @@ func (c *Controller) closeEpoch(at sim.Time) {
 		bFpA = lg(c.batchBytes / c.batchOps)
 		bFpB = lg(c.batchFrags / c.batchOps)
 	}
-	if act, ch := c.batch.close(c.batchOps, c.batchLat, bFpA, bFpB,
-		c.params.Confirm, c.params.Dwell); ch {
+	if act, ch := c.batch.close(c.batchOps, c.batchLat, bFpA, bFpB); ch {
 		changed = true
 		c.applyStrategy(c.strategies[act])
 	}
@@ -374,17 +368,16 @@ func (c *Controller) closeEpoch(at sim.Time) {
 	} else {
 		c.collapseRun = 0
 	}
-	if c.collapseRun >= c.params.Confirm {
+	if c.collapseRun >= DefaultConfirm {
 		c.collapseRun = 0
 		c.small.state = stLocked
 		c.small.cand = candDirect
 		c.small.fpA, c.small.fpB = sFpA, sFpB
 		c.small.drift = 0
-		c.small.dwell = c.params.Dwell
+		c.small.dwell = DefaultDwell
 		changed = true
 		c.applyCons(false)
-	} else if act, ch := c.small.close(c.smallOps, c.smallLat, sFpA, sFpB,
-		c.params.Confirm, c.params.Dwell); ch {
+	} else if act, ch := c.small.close(c.smallOps, c.smallLat, sFpA, sFpB); ch {
 		changed = true
 		c.applyCons(act == candCons)
 	}
@@ -435,13 +428,13 @@ func (c *Controller) closeEpoch(at sim.Time) {
 				newDepth = 1
 			}
 			c.depthClean = 0
-		} else if c.depth < c.params.MaxDepth {
+		} else if c.depth < DefaultMaxDepth {
 			c.depthClean++
-			if c.depthClean >= c.params.Confirm {
+			if c.depthClean >= DefaultConfirm {
 				c.depthClean = 0
 				newDepth = c.depth * 2
-				if newDepth > c.params.MaxDepth {
-					newDepth = c.params.MaxDepth
+				if newDepth > DefaultMaxDepth {
+					newDepth = DefaultMaxDepth
 				}
 			}
 		}

@@ -3,7 +3,6 @@ package adaptive
 import (
 	"fmt"
 
-	"rdmasem/internal/cluster"
 	"rdmasem/internal/core"
 	"rdmasem/internal/mem"
 	"rdmasem/internal/sim"
@@ -30,7 +29,7 @@ type Config struct {
 	// Params configures the controller. Params.Shadow pins the runtime to
 	// the static Strategy/UseCons below with the controller observing only
 	// — the baseline configuration of the adaptive experiment.
-	Params cluster.AdaptiveParams
+	Params Params
 
 	Strategy core.Strategy // initial (shadow: permanent) batch strategy
 	UseCons  bool          // shadow: permanent small-write path

@@ -60,9 +60,6 @@ func NewLog(m *cluster.Machine, cfg Config) (*Log, error) {
 	return &Log{cfg: cfg, ctx: ctx, logMR: ctx.MustRegisterMR(lr), seqMR: ctx.MustRegisterMR(sr)}, nil
 }
 
-// Context returns the log host's verbs context.
-func (l *Log) Context() *verbs.Context { return l.ctx }
-
 // Record returns the record stored at the given sequence number (test
 // helper; reads backend memory directly).
 func (l *Log) Record(seq uint64) ([]byte, error) {
@@ -105,9 +102,6 @@ type Engine struct {
 	tables  []*verbs.MR
 	staging *verbs.MR // NUMA-friendly buffer on the engine's socket
 	scratch *verbs.MR
-
-	appends int64
-	cpu     sim.Duration
 
 	// payWR and paySGL are reused across AppendPayload posts so the
 	// transactional redo-append path stays allocation-free.
@@ -195,15 +189,13 @@ func (e *Engine) AppendBatch(now sim.Time) (uint64, sim.Time, error) {
 		rec := table.Region().Bytes()[slot : slot+cfg.RecordSize]
 		workload.FillValue(rec, seqNo)
 		cross := table.Region().Socket() != e.socket
-		e.cpu += 100 // record finalization
-		t += 100
+		t += 100 // record finalization
 		if cfg.NUMA && cross {
 			// Stage the alternate-socket record into the NUMA-friendly
 			// buffer (SP-style CPU copy), so the gather stays local.
 			dst := e.staging.Region().Bytes()[stageOff : stageOff+cfg.RecordSize]
 			copy(dst, rec)
 			c := tp.MemcpyTime(cfg.RecordSize, true)
-			e.cpu += c
 			t += c
 			sgl = append(sgl, verbs.SGE{Addr: e.staging.Addr() + mem.Addr(stageOff), Length: cfg.RecordSize, MR: e.staging})
 			stageOff += cfg.RecordSize
@@ -213,7 +205,6 @@ func (e *Engine) AppendBatch(now sim.Time) (uint64, sim.Time, error) {
 	}
 
 	// Stage 3: one SGL write into the reserved extent.
-	e.cpu += core.WRBuildCost + sim.Duration(len(sgl))*core.SGEBuildCost + core.PostCPUCost
 	comp, err := e.qp.PostSend(t, &verbs.SendWR{
 		Opcode:     verbs.OpWrite,
 		SGL:        sgl,
@@ -228,7 +219,6 @@ func (e *Engine) AppendBatch(now sim.Time) (uint64, sim.Time, error) {
 		// last successfully appended record.
 		return 0, 0, fmt.Errorf("dlog: append of batch at %d failed: %w", first, err)
 	}
-	e.appends++
 	return first, comp.Done, nil
 }
 
@@ -272,13 +262,11 @@ func (e *Engine) AppendPayload(now sim.Time, payloads [][]byte) (uint64, sim.Tim
 			dst[i] = 0
 		}
 		c := tp.MemcpyTime(cfg.RecordSize, true)
-		e.cpu += c
 		t += c
 		off += cfg.RecordSize
 	}
 
 	// Stage 3: one write into the reserved extent.
-	e.cpu += core.WRBuildCost + core.SGEBuildCost + core.PostCPUCost
 	e.paySGL[0] = verbs.SGE{Addr: e.staging.Addr(), Length: off, MR: e.staging}
 	e.payWR = verbs.SendWR{
 		Opcode:     verbs.OpWrite,
@@ -295,9 +283,5 @@ func (e *Engine) AppendPayload(now sim.Time, payloads [][]byte) (uint64, sim.Tim
 		// an abort before the commit point.
 		return 0, 0, fmt.Errorf("dlog: append of batch at %d failed: %w", first, err)
 	}
-	e.appends++
 	return first, comp.Done, nil
 }
-
-// Stats reports batches appended and CPU burned.
-func (e *Engine) Stats() (appends int64, cpu sim.Duration) { return e.appends, e.cpu }

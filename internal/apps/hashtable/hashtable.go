@@ -146,9 +146,6 @@ func NewBackend(m *cluster.Machine, cfg Config) (*Backend, error) {
 	return b, nil
 }
 
-// Context returns the back-end's verbs context.
-func (b *Backend) Context() *verbs.Context { return b.ctx }
-
 // Machine returns the back-end host.
 func (b *Backend) Machine() *cluster.Machine { return b.ctx.Machine() }
 
@@ -487,6 +484,3 @@ func (f *FrontEnd) Flush(now sim.Time) (sim.Time, error) {
 
 // Stats reports the hot/cold path split.
 func (f *FrontEnd) Stats() (hot, cold int64) { return f.hotHits, f.coldPaths }
-
-// Engine exposes the front-end's NUMA engine (benchmarks read proxy stats).
-func (f *FrontEnd) Engine() *core.Engine { return f.engine }

@@ -324,9 +324,6 @@ func (s *Shuffle) Executor(i int) *Executor { return s.execs[i] }
 // ID returns the executor's index.
 func (ex *Executor) ID() int { return ex.id }
 
-// Socket returns the executor's pinned socket.
-func (ex *Executor) Socket() topo.SocketID { return ex.socket }
-
 // Stats reports processed entries, issued flushes, and CPU time burned.
 func (ex *Executor) Stats() (entries, flushes int64, cpu sim.Duration) {
 	return ex.entries, ex.flushes, ex.cpu

@@ -15,9 +15,6 @@ import (
 // newDetRand returns a deterministic PRNG for benchmark address streams.
 func newDetRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
-// topoSock converts an int to a socket id.
-func topoSock(s int) topo.SocketID { return topo.SocketID(s) }
-
 // MRScale reproduces Section II-B2's MR observation: with 10x the memory
 // regions the 32 B access latency degrades on the order of 60% because the
 // MR records no longer fit the metadata SRAM.
@@ -163,7 +160,7 @@ func (r *run) AblationMMIOCost(scale float64) (*Report, error) {
 		cfg := cluster.DefaultConfig()
 		cfg.Machines = 2
 		cfg.NIC.MMIOCost = sim.Duration(mmios[i])
-		return r.customPairLatency(cfg)
+		return r.customPlacementLatency(cfg, false)
 	})
 	if err != nil {
 		return nil, err
@@ -253,40 +250,8 @@ func (r *run) customPairThroughput(cfg cluster.Config, region int, h sim.Duratio
 	return res.MOPS(), nil
 }
 
-// customPairLatency measures the warm 32B write latency on a custom config.
-func (r *run) customPairLatency(cfg cluster.Config) (float64, error) {
-	cl, err := r.newCluster(cfg, r.opts.Faults)
-	if err != nil {
-		return 0, err
-	}
-	ctxA, ctxB := verbs.NewContext(cl.Machine(0)), verbs.NewContext(cl.Machine(1))
-	qp, _, err := verbs.Connect(ctxA, 1, ctxB, 1, verbs.RC)
-	if err != nil {
-		return 0, err
-	}
-	la, _ := cl.Machine(0).Alloc(1, 1<<16, 0)
-	ra, _ := cl.Machine(1).Alloc(1, 1<<16, 0)
-	mrA, mrB := ctxA.MustRegisterMR(la), ctxB.MustRegisterMR(ra)
-	wr := &verbs.SendWR{
-		Opcode:     verbs.OpWrite,
-		SGL:        []verbs.SGE{{Addr: mrA.Addr(), Length: 32, MR: mrA}},
-		RemoteAddr: mrB.Addr(),
-		RemoteKey:  mrB.RKey(),
-	}
-	if _, err := qp.PostSend(0, wr); err != nil {
-		return 0, err
-	}
-	lat := sim.RunOnce(func(t sim.Time) sim.Time {
-		c, err := qp.PostSend(t, wr)
-		if err != nil {
-			panic(err)
-		}
-		return c.Done
-	}, sim.Millisecond)
-	return lat.Micros(), nil
-}
-
-// customPlacementLatency measures best- or worst-placement write latency.
+// customPlacementLatency measures the warm 32B write latency on a custom
+// config with best (NIC-socket) or worst (remote-socket) placement.
 func (r *run) customPlacementLatency(cfg cluster.Config, worst bool) (float64, error) {
 	cl, err := r.newCluster(cfg, r.opts.Faults)
 	if err != nil {
@@ -297,13 +262,19 @@ func (r *run) customPlacementLatency(cfg cluster.Config, worst bool) (float64, e
 	if err != nil {
 		return 0, err
 	}
-	lSock, rSock := 1, 1
+	sock := topo.SocketID(1) // both buffers on the NIC socket
 	if worst {
 		qp.BindCore(0)
-		lSock, rSock = 0, 0
+		sock = 0
 	}
-	la, _ := cl.Machine(0).Alloc(topoSock(lSock), 1<<16, 0)
-	ra, _ := cl.Machine(1).Alloc(topoSock(rSock), 1<<16, 0)
+	la, err := cl.Machine(0).Alloc(sock, 1<<16, 0)
+	if err != nil {
+		return 0, err
+	}
+	ra, err := cl.Machine(1).Alloc(sock, 1<<16, 0)
+	if err != nil {
+		return 0, err
+	}
 	mrA, mrB := ctxA.MustRegisterMR(la), ctxB.MustRegisterMR(ra)
 	wr := &verbs.SendWR{
 		Opcode:     verbs.OpWrite,

@@ -2,70 +2,13 @@ package bench
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"rdmasem/internal/adaptive"
-	"rdmasem/internal/cluster"
 	"rdmasem/internal/core"
 	"rdmasem/internal/mem"
 	"rdmasem/internal/sim"
 	"rdmasem/internal/stats"
 )
-
-// ParseAdaptive parses a comma-separated key=value controller spec (epoch
-// in ns, confirm, dwell, depth); an empty spec selects the scale-derived
-// defaults (nil).
-func ParseAdaptive(spec string) (*cluster.AdaptiveParams, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	var p cluster.AdaptiveParams
-	for _, part := range strings.Split(spec, ",") {
-		k, v, ok := strings.Cut(part, "=")
-		if !ok {
-			return nil, fmt.Errorf("bench: adaptive spec %q is not key=value", part)
-		}
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bench: adaptive %s=%q: %v", k, v, err)
-		}
-		if n <= 0 {
-			return nil, fmt.Errorf("bench: adaptive %s must be positive, got %d", k, n)
-		}
-		switch k {
-		case "epoch":
-			p.Epoch = sim.Duration(n)
-		case "confirm":
-			p.Confirm = int(n)
-		case "dwell":
-			p.Dwell = int(n)
-		case "depth":
-			p.MaxDepth = int(n)
-		default:
-			return nil, fmt.Errorf("bench: unknown adaptive key %q (want epoch, confirm, dwell, depth)", k)
-		}
-	}
-	return &p, nil
-}
-
-// adaptiveParams resolves the controller configuration for one cell: the
-// CLI override if present, otherwise an epoch of h/96 so the probe burn-in
-// stays a fixed fraction of the horizon at every scale.
-func (r *run) adaptiveParams(h sim.Duration, shadow bool) cluster.AdaptiveParams {
-	p := cluster.AdaptiveParams{}
-	if r.opts.Adaptive != nil {
-		p = *r.opts.Adaptive
-	}
-	if p.Epoch <= 0 {
-		p.Epoch = h / 96
-		if p.Epoch < 500 {
-			p.Epoch = 500
-		}
-	}
-	p.Shadow = shadow
-	return p
-}
 
 // adaptiveCfg is one sweep line: a pinned static plan (shadow controller
 // riding along, applying nothing) or the live adaptive runtime.
@@ -125,7 +68,9 @@ func (r *run) AdaptiveRuntime(scale float64) (*Report, error) {
 			QP: env.qpA, LocalMR: env.mrA, Staging: env.staging,
 			RemoteMR: env.mrB, RemoteBase: env.mrB.Addr(),
 			BlockSize: 1024, Theta: 16, MaxBlocks: 8,
-			Params:   r.adaptiveParams(h, !cfg.live),
+			// An epoch of h/96 keeps the probe burn-in a fixed fraction
+			// of the horizon at every scale.
+			Params:   adaptive.Params{Epoch: h / 96, Shadow: !cfg.live},
 			Strategy: cfg.strategy, UseCons: cfg.useCons,
 		})
 		if err != nil {

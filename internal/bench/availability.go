@@ -2,8 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"rdmasem/internal/cluster"
 	"rdmasem/internal/fabric"
@@ -18,53 +16,18 @@ import (
 // plotting order.
 var availModes = []string{"none", "reconnect", "reconnect+remap"}
 
-// FlapPoint is one link-flap intensity: the fabric takes every link down
+// flapPoint is one link-flap intensity: the fabric takes every link down
 // for Down out of every Period nanoseconds (per-link phase offsets come from
 // the plan seed).
-type FlapPoint struct {
+type flapPoint struct {
 	Down, Period sim.Duration
 }
 
 // defaultFlaps sweeps 8%, 24% and 48% link downtime on a 25us flap period.
-var defaultFlaps = []FlapPoint{
+var defaultFlaps = []flapPoint{
 	{Down: 2 * sim.Microsecond, Period: 25 * sim.Microsecond},
 	{Down: 6 * sim.Microsecond, Period: 25 * sim.Microsecond},
 	{Down: 12 * sim.Microsecond, Period: 25 * sim.Microsecond},
-}
-
-// ParseRecoveryModes parses a comma-separated subset of the availability
-// recovery modes; an empty spec selects all three.
-func ParseRecoveryModes(spec string) ([]string, error) {
-	return parseModes(spec, availModes, "recovery")
-}
-
-// ParseFaultFlap parses an availability flap sweep: comma-separated
-// down/period pairs in nanoseconds, mildest first, e.g.
-// "2000/25000,12000/25000". An empty spec selects the default sweep (nil).
-func ParseFaultFlap(spec string) ([]FlapPoint, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	var pts []FlapPoint
-	for _, part := range strings.Split(spec, ",") {
-		ds, ps, ok := strings.Cut(part, "/")
-		if !ok {
-			return nil, fmt.Errorf("bench: flap point %q is not down/period", part)
-		}
-		d, err := strconv.ParseInt(ds, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bench: flap down %q: %v", ds, err)
-		}
-		p, err := strconv.ParseInt(ps, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bench: flap period %q: %v", ps, err)
-		}
-		if d <= 0 || p <= d {
-			return nil, fmt.Errorf("bench: flap point %q needs 0 < down < period", part)
-		}
-		pts = append(pts, FlapPoint{Down: sim.Duration(d), Period: sim.Duration(p)})
-	}
-	return pts, nil
 }
 
 // availPoint is one (mode, fault scenario) measurement.
@@ -103,14 +66,7 @@ func recoveryPolicyFor(mode string) *proxy.RecoveryPolicy {
 // daemon with it): the standby daemon takes over after the detection
 // timeout and the table re-establishes its pool when the node restarts.
 func (r *run) Availability(scale float64) (*Report, error) {
-	modes := selectModes(availModes, r.opts.RecoveryModes)
-	if len(modes) == 0 {
-		return nil, fmt.Errorf("bench: no recovery modes selected")
-	}
-	flaps := r.opts.FaultFlaps
-	if len(flaps) == 0 {
-		flaps = defaultFlaps
-	}
+	modes, flaps := availModes, defaultFlaps
 	h := horizon(scale, 2*sim.Millisecond)
 	pts, err := points(r, len(modes)*len(flaps), func(i int) (availPoint, error) {
 		return r.flapAvailabilityPoint(modes[i/len(flaps)], flaps[i%len(flaps)], h)
@@ -125,7 +81,7 @@ func (r *run) Availability(scale float64) (*Report, error) {
 		return nil, err
 	}
 
-	dutyPct := func(f FlapPoint) float64 {
+	dutyPct := func(f flapPoint) float64 {
 		return 100 * float64(f.Down) / float64(f.Period)
 	}
 	fig := stats.NewFigure("Goodput under link flapping: 64B WRITEs through a pooled table vs link downtime", "link downtime (%)", "goodput (MOPS)")
@@ -308,7 +264,7 @@ func (env *availEnv) finish(h sim.Duration) availPoint {
 }
 
 // flapAvailabilityPoint measures one (mode, flap intensity) point.
-func (r *run) flapAvailabilityPoint(mode string, f FlapPoint, h sim.Duration) (availPoint, error) {
+func (r *run) flapAvailabilityPoint(mode string, f flapPoint, h sim.Duration) (availPoint, error) {
 	plan := &fabric.FaultPlan{Seed: 7, FlapDown: f.Down, FlapPeriod: f.Period}
 	env, err := r.newAvailEnv(plan, recoveryPolicyFor(mode))
 	if err != nil {

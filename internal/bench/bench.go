@@ -15,9 +15,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"slices"
 	"sort"
-	"strings"
 	"sync"
 
 	"rdmasem/internal/cluster"
@@ -84,17 +82,11 @@ func (r *Report) RenderFormat(w io.Writer, format string) {
 // telemetry-free run the goldens pin; every field only selects what the
 // command-line flags of the same name select.
 type Options struct {
-	Parallel      int                     // sweep-point workers (< 1 = GOMAXPROCS)
-	EngineWorkers int                     // sharded-kernel workers per engine (< 1 = 1)
-	Faults        *fabric.FaultPlan       // lossy-fabric plan for every cluster (nil = lossless)
-	Metrics       *telemetry.Registry     // metrics sink for every cluster, folded into Report.Metrics
-	Timeline      *telemetry.Timeline     // span recorder for every cluster
-	ConnModes     []string                // qpsweep serving modes (nil = all)
-	QPPool        int                     // qpsweep pool/proxy physical QPs (< 1 = 64)
-	FaultFlaps    []FlapPoint             // availability flap sweep (empty = default)
-	RecoveryModes []string                // availability recovery modes (nil = all)
-	Adaptive      *cluster.AdaptiveParams // adaptive controller override (nil = scale-derived)
-	TxnConflicts  []int                   // txn conflict shares in percent (empty = default)
+	Parallel      int                 // sweep-point workers (< 1 = GOMAXPROCS)
+	EngineWorkers int                 // sharded-kernel workers per engine (< 1 = 1)
+	Faults        *fabric.FaultPlan   // lossy-fabric plan for every cluster (nil = lossless)
+	Metrics       *telemetry.Registry // metrics sink for every cluster, folded into Report.Metrics
+	Timeline      *telemetry.Timeline // span recorder for every cluster
 }
 
 // run is one experiment execution: its options plus the clusters it built,
@@ -203,35 +195,6 @@ func List() []string {
 		out = append(out, id)
 	}
 	sort.Strings(out)
-	return out
-}
-
-// parseModes parses a comma-separated subset of known (empty = nil, all).
-func parseModes(spec string, known []string, kind string) ([]string, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	modes := strings.Split(spec, ",")
-	for _, m := range modes {
-		if !slices.Contains(known, m) {
-			return nil, fmt.Errorf("bench: unknown %s mode %q (have %v)", kind, m, known)
-		}
-	}
-	return modes, nil
-}
-
-// selectModes returns the modes of all that want names, in all's order (a
-// nil want selects all).
-func selectModes(all, want []string) []string {
-	if want == nil {
-		return all
-	}
-	var out []string
-	for _, m := range all {
-		if slices.Contains(want, m) {
-			out = append(out, m)
-		}
-	}
 	return out
 }
 

@@ -16,11 +16,8 @@ import (
 // plotting order.
 var qpsweepModes = []string{"per-conn", "srq", "pool", "proxy"}
 
-// ParseConnModes parses a comma-separated subset of the qpsweep serving
-// modes; an empty spec selects all four.
-func ParseConnModes(spec string) ([]string, error) {
-	return parseModes(spec, qpsweepModes, "connection")
-}
+// qpsweepPool is the number of physical QPs the pool and proxy modes share.
+const qpsweepPool = 64
 
 // connPoint is one (mode, connection count) measurement.
 type connPoint struct {
@@ -40,10 +37,7 @@ type connPoint struct {
 // 8192 connections and aggregate throughput falls off a cliff; the pool and
 // proxy modes keep the NIC's working set bounded and recover it.
 func (r *run) QPSweep(scale float64) (*Report, error) {
-	modes := selectModes(qpsweepModes, r.opts.ConnModes)
-	if len(modes) == 0 {
-		return nil, fmt.Errorf("bench: no connection modes selected")
-	}
+	modes := qpsweepModes
 	counts := []int{100, 1000, 5000, 10000, 20000}
 	h := horizon(scale, 2*sim.Millisecond)
 	pts, err := points(r, len(modes)*len(counts), func(i int) (connPoint, error) {
@@ -73,29 +67,15 @@ func (r *run) QPSweep(scale float64) (*Report, error) {
 			fmt.Sprintf("%.3f", p.mops),
 			fmt.Sprintf("%.3f", p.qpHit))
 	}
-	has := func(m string) bool {
-		for _, x := range modes {
-			if x == m {
-				return true
-			}
-		}
-		return false
-	}
-	var notes []string
-	if has("per-conn") || has("srq") {
-		notes = append(notes, "per-conn/srq: one QP+MR per connection thrashes the 8192-entry context caches past 10k connections")
-	}
-	if has("srq") {
-		notes = append(notes, "an SRQ pools receive buffers, not contexts: its curve tracks per-conn exactly")
-	}
-	if has("pool") || has("proxy") {
-		notes = append(notes, "pool/proxy: a bounded pool behind a connection table (RDMAvisor-style) keeps the working set resident at any connection count")
-	}
 	return &Report{
 		ID:      "qpsweep",
 		Figures: []*stats.Figure{fig, hitFig},
 		Tables:  []*stats.Table{tb},
-		Notes:   notes,
+		Notes: []string{
+			"per-conn/srq: one QP+MR per connection thrashes the 8192-entry context caches past 10k connections",
+			"an SRQ pools receive buffers, not contexts: its curve tracks per-conn exactly",
+			"pool/proxy: a bounded pool behind a connection table (RDMAvisor-style) keeps the working set resident at any connection count",
+		},
 	}, nil
 }
 
@@ -210,11 +190,7 @@ func (r *run) connSweepPoint(mode string, conns int, h sim.Duration) (connPoint,
 		pt.physQPs, pt.mrs = conns, conns
 
 	case "pool", "proxy":
-		p := r.opts.QPPool
-		if p < 1 {
-			p = 64
-		}
-		p = min(p, conns)
+		p := min(qpsweepPool, conns)
 		pool := make([]*verbs.QP, p)
 		srq := verbs.NewSRQ(ctxB)
 		for i := range pool {

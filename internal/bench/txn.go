@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strconv"
-	"strings"
 
 	"rdmasem/internal/cluster"
 	"rdmasem/internal/fabric"
@@ -22,30 +20,6 @@ var txnModes = []string{"lossless", "lossy"}
 // defaultTxnConflicts is the swept share of transactions aimed at the hot
 // key set, in percent.
 var defaultTxnConflicts = []int{0, 25, 50, 75, 100}
-
-// ParseTxnConflicts parses a txn conflict sweep: comma-separated
-// percentages in [0,100], strictly ascending, e.g. "0,50,100". An empty
-// spec selects the default sweep (nil).
-func ParseTxnConflicts(spec string) ([]int, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	var pcts []int
-	for _, part := range strings.Split(spec, ",") {
-		p, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, fmt.Errorf("bench: conflict share %q: %v", part, err)
-		}
-		if p < 0 || p > 100 {
-			return nil, fmt.Errorf("bench: conflict share %d%% outside [0,100]", p)
-		}
-		if len(pcts) > 0 && p <= pcts[len(pcts)-1] {
-			return nil, fmt.Errorf("bench: conflict shares must be strictly ascending, got %q", spec)
-		}
-		pcts = append(pcts, p)
-	}
-	return pcts, nil
-}
 
 // txnResult is one (fabric mode, conflict share) measurement.
 type txnResult struct {
@@ -78,10 +52,7 @@ func txnFaultPlanFor(mode string) *fabric.FaultPlan {
 // stretches every phase (and with it the conflict window), so lossy
 // throughput stays at or below lossless at every point.
 func (r *run) TxnConflicts(scale float64) (*Report, error) {
-	pcts := r.opts.TxnConflicts
-	if len(pcts) == 0 {
-		pcts = defaultTxnConflicts
-	}
+	pcts := defaultTxnConflicts
 	h := horizon(scale, 2*sim.Millisecond)
 	pts, err := points(r, len(txnModes)*len(pcts), func(i int) (txnResult, error) {
 		return r.txnConflictPoint(txnModes[i/len(pcts)], pcts[i%len(pcts)], h)

@@ -39,23 +39,6 @@ type Config struct {
 	// trace-event spans (one process group per cluster, one thread per QP).
 	// Usable with or without Telemetry, and equally passive.
 	Timeline *telemetry.Timeline
-	// Adaptive optionally carries settings for the per-QP adaptive IO
-	// controllers (internal/adaptive). nil — the default — builds no
-	// controllers and changes nothing. The struct lives here rather than in
-	// the adaptive package so a cluster can carry the settings without
-	// importing the controller layer, which sits above verbs in the import
-	// graph.
-	Adaptive *AdaptiveParams
-}
-
-// AdaptiveParams tunes the adaptive IO controllers. Zero values select the
-// controller's defaults; see internal/adaptive for the semantics.
-type AdaptiveParams struct {
-	Epoch    sim.Duration // decision interval in virtual time (0 = derived default)
-	Confirm  int          // consecutive drifted epochs before re-probing (0 = default)
-	Dwell    int          // cooldown epochs after a switch before re-probing (0 = default)
-	MaxDepth int          // doorbell list depth ceiling (0 = default)
-	Shadow   bool         // observe and decide but never retune (passive mode)
 }
 
 // DefaultConfig returns the paper's eight-machine testbed. Each socket gets
@@ -93,10 +76,6 @@ type Cluster struct {
 	fab      *fabric.Fabric
 	qpSeq    uint64 // last QP number handed out on this cluster
 }
-
-// Adaptive returns the cluster's adaptive-controller settings (nil when the
-// cluster was built without them).
-func (c *Cluster) Adaptive() *AdaptiveParams { return c.cfg.Adaptive }
 
 // New builds a cluster from the configuration.
 func New(cfg Config) (*Cluster, error) {

@@ -1,7 +1,6 @@
 // Engine: the cluster-level face of the sharded event kernel. The cluster
 // owns the machine-to-shard mapping contract — a client's footprint is the
-// set of Machines its ops touch — and derives the conservative lookahead
-// window from its fabric parameters.
+// set of Machines its ops touch.
 package cluster
 
 import (
@@ -9,18 +8,6 @@ import (
 
 	"rdmasem/internal/sim"
 )
-
-// Lookahead reports the conservative cross-machine lookahead window: the
-// minimum virtual time between a send posted on one machine and its earliest
-// effect on another. On this fabric a cut-through switch forwards a frame's
-// first byte after cable propagation plus switch latency, before even the
-// frame-overhead bytes have fully serialized, so that sum is the floor. The
-// sharded kernel records it as the bound any sub-machine-group scheduling
-// would have to respect; footprint-closed shards never exchange events, so
-// they trivially respect it at any advance.
-func (c *Cluster) Lookahead() sim.Duration {
-	return c.cfg.Fabric.Propagation + c.cfg.Fabric.SwitchLatency
-}
 
 // Engine drives closed-loop clients over the cluster on the sharded event
 // kernel. Register each client with the machines its Op closure touches
@@ -45,9 +32,7 @@ func (c *Cluster) NewEngine(workers int) *Engine {
 	if c.cfg.Timeline != nil {
 		workers = 1
 	}
-	k := sim.NewKernel(workers)
-	k.SetLookahead(c.Lookahead())
-	return &Engine{cl: c, k: k}
+	return &Engine{cl: c, k: sim.NewKernel(workers)}
 }
 
 // Add registers a client with its machine footprint, home machine first.
@@ -70,9 +55,6 @@ func (e *Engine) Add(c *sim.Client, on ...*Machine) {
 
 // Workers reports the effective worker count (after any Timeline pin).
 func (e *Engine) Workers() int { return e.k.Workers() }
-
-// Lookahead reports the kernel's recorded cross-machine lookahead window.
-func (e *Engine) Lookahead() sim.Duration { return e.k.Lookahead() }
 
 // Run drives all registered clients to the horizon. Semantics are exactly
 // sim.RunClosedLoop's; see sim.Kernel for the shard partition.

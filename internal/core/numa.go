@@ -136,9 +136,6 @@ func NewEngine(local *verbs.Context, peers []*verbs.Context, mode Mode) (*Engine
 	return e, nil
 }
 
-// Mode returns the wiring mode.
-func (e *Engine) Mode() Mode { return e.mode }
-
 // QPCount returns the total number of QPs the engine established, the
 // quantity the paper's s x 2m vs s^2 x 2m comparison is about.
 func (e *Engine) QPCount() int {

@@ -33,9 +33,6 @@ func NewRPCServer(ctx *verbs.Context, mr *verbs.MR, service sim.Duration) (*RPCS
 	}, nil
 }
 
-// CPU exposes the server CPU resource (utilization reporting).
-func (s *RPCServer) CPU() *sim.Resource { return s.cpu }
-
 // RPCClient is one client's connection to an RPCServer.
 type RPCClient struct {
 	server   *RPCServer

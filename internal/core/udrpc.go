@@ -47,9 +47,6 @@ func NewUDRPCServer(ctx *verbs.Context, port int, mr *verbs.MR, service sim.Dura
 	}, nil
 }
 
-// CPU exposes the server CPU resource.
-func (s *UDRPCServer) CPU() *sim.Resource { return s.cpu }
-
 // UDRPCClient is one client's endpoint toward a UDRPCServer.
 type UDRPCClient struct {
 	server *UDRPCServer
@@ -68,8 +65,11 @@ func (s *UDRPCServer) NewUDRPCClient(client *verbs.Context, port int, clientMR *
 
 // Call performs one datagram request/response exchange. Both directions are
 // single UD sends; the handler runs under the server CPU at its service
-// time. UD is unreliable, but the exchange pre-posts both receive buffers,
-// so within the simulation no datagram is ever dropped.
+// time. UD is unreliable: a leg the fabric drops is sent again after the
+// default RC ACK timeout, doubling per consecutive loss, up to RetryCount
+// times before Call gives up with an error. A lost response is re-sent from
+// the result the server already computed, so the handler runs exactly once
+// per Call, and no receive buffer stays posted once Call returns.
 func (c *UDRPCClient) Call(now sim.Time, reqSize, respSize int, handler func(at sim.Time) uint64) (uint64, sim.Time, error) {
 	s := c.server
 	if err := s.qp.PostRecv(verbs.RecvWR{
@@ -80,17 +80,18 @@ func (c *UDRPCClient) Call(now sim.Time, reqSize, respSize int, handler func(at 
 	if err := c.qp.PostRecv(verbs.RecvWR{
 		SGE: verbs.SGE{Addr: c.mr.Addr(), Length: respSize, MR: c.mr},
 	}); err != nil {
+		s.qp.CancelRecv()
 		return 0, 0, err
 	}
 	// Request datagram (inline when small: the fast path Herd uses).
-	if _, dropped, err := c.qp.Send(now, s.qp.Handle(),
-		[]verbs.SGE{{Addr: c.mr.Addr(), Length: reqSize, MR: c.mr}}, reqSize <= verbs.MaxInline); err != nil {
-		return 0, 0, err
-	} else if dropped {
-		return 0, 0, fmt.Errorf("core: ud rpc request dropped")
+	if err := sendLeg(c.qp, s.qp, now, verbs.SGE{Addr: c.mr.Addr(), Length: reqSize, MR: c.mr}); err != nil {
+		s.qp.CancelRecv()
+		c.qp.CancelRecv()
+		return 0, 0, fmt.Errorf("core: ud rpc request: %w", err)
 	}
 	cqe, ok := s.qp.RecvCQ().PollOne(sim.MaxTime)
 	if !ok {
+		c.qp.CancelRecv()
 		return 0, 0, fmt.Errorf("core: ud rpc request did not arrive")
 	}
 	t := s.cpu.Delay(cqe.Time, s.service)
@@ -99,15 +100,32 @@ func (c *UDRPCClient) Call(now sim.Time, reqSize, respSize int, handler func(at 
 		result = handler(t)
 	}
 	// Response datagram.
-	if _, dropped, err := s.qp.Send(t, c.qp.Handle(),
-		[]verbs.SGE{{Addr: s.mr.Addr(), Length: respSize, MR: s.mr}}, respSize <= verbs.MaxInline); err != nil {
-		return 0, 0, err
-	} else if dropped {
-		return 0, 0, fmt.Errorf("core: ud rpc response dropped")
+	if err := sendLeg(s.qp, c.qp, t, verbs.SGE{Addr: s.mr.Addr(), Length: respSize, MR: s.mr}); err != nil {
+		c.qp.CancelRecv()
+		return 0, 0, fmt.Errorf("core: ud rpc response: %w", err)
 	}
 	rcqe, ok := c.qp.RecvCQ().PollOne(sim.MaxTime)
 	if !ok {
 		return 0, 0, fmt.Errorf("core: ud rpc response did not arrive")
 	}
 	return result, rcqe.Time, nil
+}
+
+// sendLeg sends one datagram of an exchange at the given time and sends it
+// again, after the default ACK timeout doubled per consecutive loss, for
+// every copy the fabric drops, up to the default retry count.
+func sendLeg(from, to *verbs.UDQP, at sim.Time, sge verbs.SGE) error {
+	rp := verbs.DefaultRetryPolicy()
+	timeout := rp.AckTimeout
+	for retry := 0; ; retry++ {
+		comp, dropped, err := from.Send(at, to.Handle(), []verbs.SGE{sge}, sge.Length <= verbs.MaxInline)
+		if err != nil || !dropped {
+			return err
+		}
+		if retry == rp.RetryCount {
+			return fmt.Errorf("datagram dropped %d times", retry+1)
+		}
+		at = comp.Done + timeout
+		timeout *= 2
+	}
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"testing"
 
+	"rdmasem/internal/cluster"
+	"rdmasem/internal/fabric"
 	"rdmasem/internal/sim"
 	"rdmasem/internal/verbs"
 )
@@ -109,6 +111,92 @@ func TestUDRPCSequencer(t *testing.T) {
 	}
 	if v0 != 0 || v1 != 1 {
 		t.Fatalf("ud rpc sequence %d,%d", v0, v1)
+	}
+}
+
+// TestUDRPCSequencerLossy: over a fabric that drops 30% of datagrams, every
+// lost leg is sent again, so the sequencer hands out 0..n-1 with no gap and
+// the server runs its handler exactly once per call.
+func TestUDRPCSequencerLossy(t *testing.T) {
+	cfg := cluster.DefaultConfig()
+	cfg.Machines = 3
+	cfg.Faults = &fabric.FaultPlan{Seed: 5, Drop: 0.3}
+	cl, err := cluster.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	server := verbs.NewContext(cl.Machine(0))
+	srv, err := NewUDRPCServer(server, 1, server.MustRegisterMR(cl.Machine(0).MustAlloc(1, 4096, 0)), 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var counter uint64
+	var seqs []*RPCSequencer
+	var clients []*UDRPCClient
+	for i := 1; i <= 2; i++ {
+		ctx := verbs.NewContext(cl.Machine(i))
+		c, err := srv.NewUDRPCClient(ctx, 1, ctx.MustRegisterMR(cl.Machine(i).MustAlloc(1, 4096, 0)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		clients = append(clients, c)
+		seqs = append(seqs, NewRPCSequencer(c, &counter))
+	}
+	const n = 200
+	now := sim.Time(0)
+	for want := uint64(0); want < n; want++ {
+		v, done, err := seqs[want%2].Next(now)
+		if err != nil {
+			t.Fatalf("call %d: %v", want, err)
+		}
+		if v != want {
+			t.Fatalf("call %d returned %d: sequence has a gap", want, v)
+		}
+		now = done
+	}
+	if counter != n {
+		t.Fatalf("handler ran %d times for %d calls", counter, n)
+	}
+	if drops := cl.Fabric().FaultStats().Drops; drops == 0 {
+		t.Fatal("the plan dropped no datagram: the retransmit path went unexercised")
+	}
+	// Every receive buffer a call posted was consumed by its datagram.
+	if srv.qp.CancelRecv() || clients[0].qp.CancelRecv() || clients[1].qp.CancelRecv() {
+		t.Fatal("a receive buffer stayed posted after its call returned")
+	}
+}
+
+// TestUDRPCGivesUpWithoutLeak: on a fabric that drops everything the call
+// fails after its retries and leaves no receive buffer posted behind.
+func TestUDRPCGivesUpWithoutLeak(t *testing.T) {
+	cfg := cluster.DefaultConfig()
+	cfg.Machines = 2
+	cfg.Faults = &fabric.FaultPlan{Seed: 1, Drop: 1}
+	cl, err := cluster.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sctx, cctx := verbs.NewContext(cl.Machine(0)), verbs.NewContext(cl.Machine(1))
+	srv, err := NewUDRPCServer(sctx, 1, sctx.MustRegisterMR(cl.Machine(0).MustAlloc(1, 4096, 0)), 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := srv.NewUDRPCClient(cctx, 1, cctx.MustRegisterMR(cl.Machine(1).MustAlloc(1, 4096, 0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ran := false
+	if _, _, err := c.Call(0, 8, 8, func(sim.Time) uint64 { ran = true; return 0 }); err == nil {
+		t.Fatal("a call over a fabric that drops everything must fail")
+	}
+	if ran {
+		t.Fatal("the handler ran although no request arrived")
+	}
+	if want := uint64(verbs.DefaultRetryPolicy().RetryCount + 1); cl.Fabric().FaultStats().Drops != want {
+		t.Fatalf("%d datagrams dropped, want %d (one send plus every retry)", cl.Fabric().FaultStats().Drops, want)
+	}
+	if srv.qp.CancelRecv() || c.qp.CancelRecv() {
+		t.Fatal("a receive buffer stayed posted after the failed call")
 	}
 }
 

@@ -45,7 +45,6 @@ func (p Params) Validate() error {
 // Endpoint is one registered switch port (one NIC port plugged into the
 // switch).
 type Endpoint struct {
-	name     string
 	id       int // registration index; keys the fault stream
 	machine  int // owning machine for crash windows; -1 = never crashes
 	tx       *sim.Pipe
@@ -95,9 +94,6 @@ func (e *Endpoint) Deliveries() uint64 { return e.inbox.seq }
 // worker counts.
 func (e *Endpoint) MergeHash() uint64 { return e.inbox.hash }
 
-// Name returns the endpoint's diagnostic name.
-func (e *Endpoint) Name() string { return e.name }
-
 // Tx exposes the endpoint's transmit pipe (telemetry attachment and
 // utilization reporting).
 func (e *Endpoint) Tx() *sim.Pipe { return e.tx }
@@ -143,7 +139,6 @@ func (f *Fabric) Register(name string) *Endpoint {
 // "no machine" (Register's behavior).
 func (f *Fabric) RegisterAt(name string, machine int) *Endpoint {
 	e := &Endpoint{
-		name:    name,
 		id:      len(f.endpoints),
 		machine: machine,
 		tx:      sim.NewPipe(name+"/tx", f.params.LinkBandwidth, 0),

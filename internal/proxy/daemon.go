@@ -90,9 +90,6 @@ func NewDaemon(table *Table) (*Daemon, error) {
 	return d, nil
 }
 
-// Table returns the connection table the daemon serves.
-func (d *Daemon) Table() *Table { return d.table }
-
 // SetStandby registers a standby daemon that takes over when this one is
 // modeled as dead (FailAt). Both daemons must front the same connection
 // table: the table — pooled QPs, tag state, recovery bookkeeping — is the

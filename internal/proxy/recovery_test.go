@@ -181,41 +181,6 @@ func TestRecoveryGiveUp(t *testing.T) {
 	}
 }
 
-// TestRecoveryBatch: a batch spanning dead and healthy pooled QPs comes back
-// fully OK — the healthy share directly, the dead share via remap+replay —
-// with no error reported.
-func TestRecoveryBatch(t *testing.T) {
-	e := newTableEnv(t, 2, 4)
-	if err := e.table.EnableRecovery(proxy.DefaultRecoveryPolicy()); err != nil {
-		t.Fatal(err)
-	}
-	e.pool[0].ForceError()
-	posts := make([]proxy.ConnWR, 4)
-	for conn := 0; conn < 4; conn++ {
-		posts[conn] = proxy.ConnWR{Conn: conn, WR: e.writeWR(uint64(930+conn), 64)}
-	}
-	dels, err := e.table.PostBatch(0, posts)
-	if err != nil {
-		t.Fatalf("recovered batch returned %v", err)
-	}
-	if len(dels) != 4 {
-		t.Fatalf("%d deliveries, want 4", len(dels))
-	}
-	byConn := map[int]verbs.Completion{}
-	for _, d := range dels {
-		byConn[d.Conn] = d.Completion
-	}
-	for conn := 0; conn < 4; conn++ {
-		if c := byConn[conn]; c.Status != verbs.StatusOK || c.WRID != uint64(930+conn) {
-			t.Fatalf("conn %d completion %+v", conn, c)
-		}
-	}
-	st := e.table.RecoveryStats()
-	if st.Episodes != 1 || st.Replayed != 2 || st.Remaps != 2 {
-		t.Fatalf("recovery stats %+v", st)
-	}
-}
-
 // TestDeliverErrorStatuses pins the demux semantics of error completions
 // without recovery: an RNR-exhausted WR and a flushed WR come back on the
 // correct connection with the caller's ID restored, and their tags leave the

@@ -147,9 +147,6 @@ func New(name string, p Params) (*NIC, error) {
 	return n, nil
 }
 
-// Name returns the NIC's diagnostic name.
-func (n *NIC) Name() string { return n.name }
-
 // Params returns the NIC's configuration.
 func (n *NIC) Params() Params { return n.params }
 

@@ -19,10 +19,8 @@ import (
 // Within a shard, dispatch follows the exact (virtual time, client index)
 // order of the classic single-heap loop. Across shards there is nothing to
 // order — a shard is closed under its declared footprints, so no event ever
-// crosses a shard boundary; the conservative cross-machine lookahead window
-// (the minimum fabric latency, SetLookahead) is therefore trivially
-// respected at any advance, and the per-endpoint inbox hashes kept by
-// internal/fabric witness that the cross-machine delivery merge order is
+// crosses a shard boundary and no cross-shard lookahead window is needed.
+// The per-endpoint inbox hashes kept by internal/fabric witness that the cross-machine delivery merge order is
 // identical at every worker count. Worker count changes wall-clock time
 // only.
 //
@@ -31,11 +29,10 @@ import (
 // RunClosedLoop is exactly this). Declaring a footprint is a promise: an Op
 // that touches a machine outside it makes results depend on shard layout.
 type Kernel struct {
-	workers   int
-	lookahead Duration
-	clients   []*Client
-	foot      [][]int
-	global    bool // some client declared no footprint: everything is one shard
+	workers int
+	clients []*Client
+	foot    [][]int
+	global  bool // some client declared no footprint: everything is one shard
 }
 
 // NewKernel returns an empty kernel that runs shards on up to workers host
@@ -49,17 +46,6 @@ func NewKernel(workers int) *Kernel {
 
 // Workers reports the configured worker count.
 func (k *Kernel) Workers() int { return k.workers }
-
-// SetLookahead records the conservative cross-machine lookahead window: the
-// minimum virtual time between a send on one machine and its earliest effect
-// on another (propagation plus switch latency on the simulated fabric). The
-// kernel's shard partition never needs to throttle to it — shards do not
-// exchange events — but it is recorded for diagnostics and for schedulers
-// that sub-shard communicating machines.
-func (k *Kernel) SetLookahead(d Duration) { k.lookahead = d }
-
-// Lookahead reports the recorded cross-machine lookahead window.
-func (k *Kernel) Lookahead() Duration { return k.lookahead }
 
 // Add registers a client. machines is the client's footprint: every machine
 // whose resources the client's Op may touch, the home (posting) machine

@@ -232,11 +232,6 @@ func TestKernelWorkersClamp(t *testing.T) {
 	if got := NewKernel(-3).Workers(); got != 1 {
 		t.Fatalf("workers=%d, want 1", got)
 	}
-	k := NewKernel(2)
-	k.SetLookahead(123)
-	if got := k.Lookahead(); got != 123 {
-		t.Fatalf("lookahead=%v, want 123", got)
-	}
 }
 
 // TestKernelMaxOps: MaxOps gates per client exactly as in the classic loop,

@@ -27,13 +27,8 @@ type Client struct {
 	latencyMax  Duration
 	latencyMin  Duration
 	latencies   []Duration // populated when RecordLatencies is set
-	cpuBusy     Duration   // CPU time charged via PostCost and ChargeCPU
+	cpuBusy     Duration   // CPU time charged via PostCost
 }
-
-// ChargeCPU adds extra CPU busy time to the client's accounting (used by ops
-// that burn caller CPU, e.g. the SP gather memcpy). It does not advance time;
-// the op is responsible for reflecting the cost in its completion time.
-func (c *Client) ChargeCPU(d Duration) { c.cpuBusy += d }
 
 // ClientStats summarizes one client's activity after a run.
 type ClientStats struct {

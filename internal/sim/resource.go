@@ -61,9 +61,6 @@ func NewFIFOResource(name string) *Resource {
 	return &Resource{name: name, strict: true}
 }
 
-// Name returns the diagnostic name given at construction.
-func (r *Resource) Name() string { return r.name }
-
 // Acquire requests service of the given duration starting no earlier than
 // arrival, placing it at the earliest gap that fits. It returns the start
 // and end of the service window.
@@ -210,12 +207,6 @@ func NewPipe(name string, bytesPerSecond float64, overhead Duration) *Pipe {
 	}
 	return &Pipe{res: Resource{name: name}, bytesPerSecond: bytesPerSecond, overhead: overhead}
 }
-
-// Name returns the diagnostic name given at construction.
-func (p *Pipe) Name() string { return p.res.name }
-
-// Bandwidth returns the configured bandwidth in bytes per second.
-func (p *Pipe) Bandwidth() float64 { return p.bytesPerSecond }
 
 // Transfer schedules a transfer of size bytes arriving at the given time and
 // returns the start and completion of the transfer.

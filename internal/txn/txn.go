@@ -55,11 +55,6 @@ type Config struct {
 	LogBytes  int    // redo-log capacity (default 16 MiB)
 }
 
-// DefaultConfig returns the conflict-sweep deployment shape.
-func DefaultConfig() Config {
-	return Config{KeySpace: 1 << 14, ValueSize: 64, MaxWrites: 4, LogBytes: 16 << 20}
-}
-
 // entrySize is the on-table layout: key, version, checksum, then the value.
 func (c Config) entrySize() int { return 24 + c.ValueSize }
 

@@ -257,7 +257,7 @@ func runEngineWorkload(t *testing.T, workers int) engineObservation {
 	rt, err := adaptive.NewRuntime(adaptive.Config{
 		QP: qpG, LocalMR: mrG, Staging: stG, RemoteMR: mrH, RemoteBase: mrH.Addr(),
 		BlockSize: 1024, Theta: 8, MaxBlocks: 8,
-		Params:   cluster.AdaptiveParams{Epoch: 10 * sim.Microsecond},
+		Params:   adaptive.Params{Epoch: 10 * sim.Microsecond},
 		Strategy: core.SGL,
 	})
 	if err != nil {

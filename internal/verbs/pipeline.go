@@ -214,17 +214,8 @@ func (s *qpState) ID() uint64 { return s.id }
 // Context returns the owning context.
 func (s *qpState) Context() *Context { return s.ctx }
 
-// Transport returns the QP's transport type.
-func (s *qpState) Transport() Transport { return s.transport }
-
-// Port returns the local NIC port index the QP is bound to.
-func (s *qpState) Port() int { return s.port }
-
 // PortSocket returns the socket affiliated with the QP's port.
 func (s *qpState) PortSocket() topo.SocketID { return s.ctx.machine.PortSocket(s.port) }
-
-// Core returns the socket of the posting core.
-func (s *qpState) Core() topo.SocketID { return s.core }
 
 // BindCore pins the posting core to a socket (NUMA experiments).
 func (s *qpState) BindCore(sock topo.SocketID) { s.core = sock }
@@ -234,9 +225,6 @@ func (s *qpState) SendCQ() *CQ { return s.sendCQ }
 
 // RecvCQ returns the receive completion queue.
 func (s *qpState) RecvCQ() *CQ { return s.recvCQ }
-
-// Pipeline exposes the per-QP pipeline resource (ablation benchmarks).
-func (s *qpState) Pipeline() *sim.Resource { return s.pipeline }
 
 // PostRecv posts a receive buffer for incoming SEND/datagram traffic. On an
 // SRQ-attached QP receives must be posted to the SRQ instead.
@@ -252,6 +240,17 @@ func (s *qpState) PostRecv(wr RecvWR) error {
 	}
 	s.recvQ = append(s.recvQ, wr)
 	return nil
+}
+
+// CancelRecv withdraws the most recently posted receive buffer that no
+// inbound SEND has consumed yet, reporting whether there was one. A datagram
+// RPC uses it to reclaim the buffer of a message that never arrived.
+func (s *qpState) CancelRecv() bool {
+	if len(s.recvQ) == 0 {
+		return false
+	}
+	s.recvQ = s.recvQ[:len(s.recvQ)-1]
+	return true
 }
 
 // remoteSpan is the number of remote bytes the WR touches.

@@ -43,9 +43,6 @@ func NewSRQ(ctx *Context) *SRQ {
 	return &SRQ{ctx: ctx}
 }
 
-// Context returns the owning context.
-func (s *SRQ) Context() *Context { return s.ctx }
-
 // PostRecv appends one receive buffer to the shared queue. Validation
 // matches the per-QP PostRecv: the buffer must be a local MR of the SRQ's
 // context and lie inside it.
